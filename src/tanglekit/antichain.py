@@ -1,4 +1,6 @@
-"""Two built-in permutation families and their verifiers.
+"""Verifiers for the two built-in permutation families.
+
+The families live in ``perm`` and are re-exported here.
 
 ``rho(i)`` has size 12+2i. Its catergrams are pairwise incomparable
 under the induced-subtanglegram order: no member of the bar set of an
@@ -17,28 +19,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .perm import Permutation, bar_members, contains_pattern, restrict, tilde
+from .perm import Permutation, bar_members, contains_pattern, pi_seq, restrict, rho, tilde
 from .tanglegram import catergram, is_induced_sub
-
-
-def rho(i: int) -> Permutation:
-    """Member i (i >= 1) of the incomparable family; size 12+2i."""
-    if i < 1:
-        raise ValueError("family index must be at least 1")
-    n = 12 + 2 * i
-    img = [0] * n
-    img[0:4] = [2, 3, 5, 1]
-    for j in range(5, 9 + 2 * i):
-        img[j - 1] = j + 2 if j % 2 else j - 2
-    img[n - 4 : n] = [10 + 2 * i, 11 + 2 * i, 12 + 2 * i, 8 + 2 * i]
-    return Permutation(img)
-
-
-def pi_seq(i: int) -> Permutation:
-    """Member i of the nested family: rho(i) upside down."""
-    p = rho(i)
-    n = len(p)
-    return Permutation(n + 1 - v for v in p.entries)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Results go to stdout, diagnostics to stderr. Exit codes: 0 for success
 or a true answer, 1 for a false answer or a failed verification, 2 for
-usage and input errors, 3 for a blown size or time budget.
+usage and input errors, 3 for a blown size, time or recursion budget.
 """
 
 from __future__ import annotations
@@ -245,6 +245,9 @@ def main(argv: list[str] | None = None) -> int:
         return _HANDLERS[args.command](args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:  # last resort for the searches that still recurse
+        print(f"budget exceeded: {args.command} ran past the recursion depth", file=sys.stderr)
         return 3
     except (ValueError, InvalidLayoutError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,19 +18,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Sequence
 
 from .errors import BudgetExceededError, InvalidLayoutError
-from .perm import Permutation, contains_pattern, is_cater_good
+from .perm import Permutation, bar_members, contains_pattern, is_cater_good, rho
 from .tanglegram import (
     Tanglegram,
     _distance_positions,
+    _has_induced_copy,
     canonical_form,
     catergram,
     catergram_permutation,
     distance_pairs,
-    induced_subtanglegram,
     is_catergram,
 )
 from .trees import Label, RootedBinaryTree
@@ -73,40 +72,39 @@ def layout_permutation(layout: Layout) -> Permutation:
 
 
 def count_crossings(layout: Layout) -> int:
-    """Number of interleaving matching-edge pairs, by direct pair scan."""
-    ends = layout_permutation(layout).entries
-    n = len(ends)
-    return sum(
-        1 for a in range(n) for b in range(a + 1, n) if ends[a] > ends[b]
-    )
+    """Number of interleaving matching-edge pairs."""
+    return count_inversions(layout_permutation(layout).entries)
+
+
+def _merge_count(a: list[int], b: list[int]) -> tuple[list[int], int]:
+    """Merge two ascending lists; also count the pairs (x in a, y in b)
+    with x > y."""
+    merged: list[int] = []
+    inv = ia = ib = 0
+    na, nb = len(a), len(b)
+    while ia < na and ib < nb:
+        if a[ia] <= b[ib]:
+            merged.append(a[ia])
+            ia += 1
+        else:
+            merged.append(b[ib])
+            ib += 1
+            inv += na - ia
+    merged += a[ia:]
+    merged += b[ib:]
+    return merged, inv
 
 
 def count_inversions(seq: Sequence[int]) -> int:
-    """Inversion count by merge counting; independent of the pair scan."""
-    vals = list(seq)
-
-    def sort(lo: int, hi: int) -> tuple[list[int], int]:
-        if hi - lo <= 1:
-            return vals[lo:hi], 0
-        mid = (lo + hi) // 2
-        a, ca = sort(lo, mid)
-        b, cb = sort(mid, hi)
-        merged: list[int] = []
-        inv = ca + cb
-        ia = ib = 0
-        while ia < len(a) and ib < len(b):
-            if a[ia] <= b[ib]:
-                merged.append(a[ia])
-                ia += 1
-            else:
-                merged.append(b[ib])
-                ib += 1
-                inv += len(a) - ia
-        merged.extend(a[ia:])
-        merged.extend(b[ib:])
-        return merged, inv
-
-    return sort(0, len(vals))[1]
+    """Inversion count by bottom-up merge counting."""
+    runs = [[x] for x in seq]
+    inv = 0
+    while len(runs) > 1:
+        pairs = [_merge_count(a, b) for a, b in zip(runs[::2], runs[1::2])]
+        inv += sum(c for _, c in pairs)
+        # an odd run out moves up unmerged
+        runs = [merged for merged, _ in pairs] + runs[2 * len(pairs):]
+    return inv
 
 
 # ----------------------------------------------------------------------
@@ -122,41 +120,21 @@ def _min_right(
     depending only on that vertex's orientation. Ties keep the stored
     order, so the reported order is the one with the smallest swap mask.
     """
-    right = t.right
+    partner = t.left_partner
 
-    def walk(v: int) -> tuple[list[int], int, list[Label] | None]:
-        pair = right.children(v)
-        if pair is None:
-            lab = right.label_at(v)
-            return [left_pos[t.left_partner(lab)]], 0, ([lab] if build_order else None)
-        pos_a, cost_a, ord_a = walk(pair[0])
-        pos_b, cost_b, ord_b = walk(pair[1])
-        # pairs (a in A, b in B) with a > b cross when A sits below B
-        cross_ab = 0
-        ib = 0
-        for a in pos_a:
-            while ib < len(pos_b) and pos_b[ib] < a:
-                ib += 1
-            cross_ab += ib
-        cross_ba = len(pos_a) * len(pos_b) - cross_ab
-        merged: list[int] = []
-        ia = ib = 0
-        while ia < len(pos_a) and ib < len(pos_b):
-            if pos_a[ia] <= pos_b[ib]:
-                merged.append(pos_a[ia])
-                ia += 1
-            else:
-                merged.append(pos_b[ib])
-                ib += 1
-        merged.extend(pos_a[ia:])
-        merged.extend(pos_b[ib:])
-        if cross_ab <= cross_ba:
-            order = (ord_a + ord_b) if build_order else None  # type: ignore[operator]
-            return merged, cost_a + cost_b + cross_ab, order
-        order = (ord_b + ord_a) if build_order else None  # type: ignore[operator]
-        return merged, cost_a + cost_b + cross_ba, order
+    def leaf(lab: Label) -> tuple[list[int], int, list[Label] | None]:
+        return [left_pos[partner(lab)]], 0, ([lab] if build_order else None)
 
-    _, cost, order = walk(right.root)
+    def node(v: int, a: tuple, b: tuple) -> tuple[list[int], int, list[Label] | None]:
+        # pairs (x in A, y in B) with x > y cross when A sits below B
+        merged, cross = _merge_count(a[0], b[0])
+        flipped = len(a[0]) * len(b[0]) - cross
+        if flipped < cross:
+            a, b, cross = b, a, flipped
+        order = a[2] + b[2] if build_order else None
+        return merged, a[1] + b[1] + cross, order
+
+    _, cost, order = t.right.fold(leaf, node)
     return cost, (tuple(order) if order is not None else None)
 
 
@@ -169,43 +147,40 @@ def _check_cap(t: Tanglegram, cap: int, what: str) -> None:
         )
 
 
+def _sweep(t: Tanglegram, build_order: bool) -> tuple[int, tuple[Label, ...], tuple | None]:
+    """Fewest crossings with the left order and, if asked, the right order.
+
+    Left masks are scanned in increasing order, only a strictly better
+    count replaces the incumbent, and a zero count ends the sweep.
+    """
+    best = None
+    for mask in range(1 << t.left.internal_count):
+        order = t.left.leaf_order(mask)
+        cost, rorder = _min_right(t, {lab: k for k, lab in enumerate(order)}, build_order)
+        if best is None or cost < best[0]:
+            best = (cost, order, rorder)
+            if cost == 0:
+                break
+    assert best is not None
+    return best
+
+
 def crossing_number(t: Tanglegram, *, cap: int = DEFAULT_SIZE_CAP) -> int:
     """Minimum crossings over all layouts; exhaustive, guarded by ``cap``."""
     _check_cap(t, cap, "crossing_number")
-    best: int | None = None
-    for mask in range(1 << t.left.internal_count):
-        order = t.left.leaf_order(mask)
-        left_pos = {lab: k for k, lab in enumerate(order)}
-        cost, _ = _min_right(t, left_pos, build_order=False)
-        if best is None or cost < best:
-            best = cost
-        if best == 0:
-            break
-    assert best is not None
-    return best
+    return _sweep(t, build_order=False)[0]
 
 
 def min_crossing_layout(t: Tanglegram, *, cap: int = DEFAULT_SIZE_CAP) -> tuple[Layout, int]:
     """A crossing-minimal layout and its count.
 
-    Ties go to the smallest swap-mask pair: left masks are scanned in
-    increasing order and only a strictly better count replaces the
-    incumbent, while the right side prefers stored orientations.
+    Ties go to the smallest swap-mask pair: the sweep keeps the first
+    left order with the fewest crossings, and the right side prefers
+    stored orientations.
     """
     _check_cap(t, cap, "min_crossing_layout")
-    best_cost: int | None = None
-    best_left: tuple[Label, ...] | None = None
-    best_right: tuple[Label, ...] | None = None
-    for mask in range(1 << t.left.internal_count):
-        order = t.left.leaf_order(mask)
-        left_pos = {lab: k for k, lab in enumerate(order)}
-        cost, rorder = _min_right(t, left_pos, build_order=True)
-        if best_cost is None or cost < best_cost:
-            best_cost, best_left, best_right = cost, order, rorder
-        if best_cost == 0:
-            break
-    assert best_cost is not None and best_left is not None and best_right is not None
-    return Layout(t, best_left, best_right), best_cost
+    cost, left, right = _sweep(t, build_order=True)
+    return Layout(t, left, right), cost
 
 
 # ----------------------------------------------------------------------
@@ -243,21 +218,10 @@ def is_planar(t: Tanglegram, method: str = "kuratowski", *, cap: int = DEFAULT_S
         return crossing_number(t, cap=cap) == 0
     if method != "kuratowski":
         raise ValueError(f"unknown method {method!r}")
-    if t.size < 4:
-        return True
-    targets = _excluded_fingerprints()
-    for subset in combinations(t.edges, 4):
-        cand = induced_subtanglegram(t, subset)
-        dp = distance_pairs(cand)
-        for want_dp, want_form in targets:
-            if dp == want_dp and canonical_form(cand) == want_form:
-                return False
-    return True
+    return not _has_induced_copy(t, _excluded_fingerprints())
 
 
-_FORBIDDEN_PATTERNS = tuple(
-    Permutation(p) for p in ((3, 2, 1, 4), (4, 2, 1, 3), (3, 2, 4, 1), (4, 2, 3, 1))
-)
+_FORBIDDEN_PATTERNS = tuple(p for _, p in bar_members(Permutation((3, 2, 1, 4))))
 
 
 def is_planar_catergram(pi: Permutation) -> bool:
@@ -367,11 +331,7 @@ def rho_layout(i: int) -> Layout:
     by one with a trailing 1, so both sides are consistent and no two
     matching edges cross.
     """
-    from .antichain import rho as rho_perm  # local import keeps modules acyclic
-
-    if i < 1:
-        raise ValueError("family index must be at least 1")
-    p = rho_perm(i)
+    p = rho(i)
     left = (
         [1, 2, 3]
         + list(range(5, 10 + 2 * i, 2))

@@ -1,6 +1,6 @@
 """Permutations in one-line notation, pattern containment, and the
 two-element swap operators hat and tilde together with the bar set
-they generate.
+they generate, and the two built-in permutation families.
 
 A permutation of size n maps positions 1..n to values 1..n. The text
 form is the image sequence in parentheses, e.g. ``(2,3,4,1)``. Any
@@ -234,6 +234,24 @@ def upside_down(pi: Permutation) -> Permutation:
     """Replace every entry j by n+1-j."""
     n = len(pi)
     return Permutation(n + 1 - v for v in pi.entries)
+
+
+def rho(i: int) -> Permutation:
+    """Member i (i >= 1) of the incomparable family; size 12+2i."""
+    if i < 1:
+        raise ValueError("family index must be at least 1")
+    n = 12 + 2 * i
+    img = [0] * n
+    img[0:4] = [2, 3, 5, 1]
+    for j in range(5, 9 + 2 * i):
+        img[j - 1] = j + 2 if j % 2 else j - 2
+    img[n - 4 : n] = [10 + 2 * i, 11 + 2 * i, 12 + 2 * i, 8 + 2 * i]
+    return Permutation(img)
+
+
+def pi_seq(i: int) -> Permutation:
+    """Member i of the nested family: rho(i) upside down."""
+    return upside_down(rho(i))
 
 
 def is_unimodal(seq: "Permutation | Sequence[int]") -> bool:

@@ -33,6 +33,14 @@ def _f(x: float) -> str:
     return f"{x:.2f}"
 
 
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+# TeX text-mode forms of the characters TeX treats specially
+_TEX_ESCAPES = str.maketrans(
+    {"\\": r"\textbackslash{}", "~": r"\textasciitilde{}", "^": r"\textasciicircum{}"}
+    | {c: "\\" + c for c in "{}_%#$&"}
+)
+
+
 def _place_tree(
     tree: RootedBinaryTree,
     order: tuple[Label, ...],
@@ -46,22 +54,23 @@ def _place_tree(
     xy: dict[int, tuple[float, float]] = {}
     edges: list[tuple[int, int]] = []
 
-    def walk(v: int) -> tuple[int, float]:
-        pair = tree.children(v)
-        if pair is None:
-            y = leaf_y[tree.label_at(v)]
-            xy[v] = (leaf_x, y)
-            return 0, y
-        edges.append((v, pair[0]))
-        edges.append((v, pair[1]))
-        ha, ya = walk(pair[0])
-        hb, yb = walk(pair[1])
-        h = max(ha, hb) + 1
-        y = (ya + yb) / 2.0
+    def leaf(lab: Label) -> tuple[int, float]:
+        y = leaf_y[lab]
+        xy[tree.vertex_of(lab)] = (leaf_x, y)
+        return 0, y
+
+    def node(v: int, a: tuple[int, float], b: tuple[int, float]) -> tuple[int, float]:
+        first, second = tree.children(v)  # type: ignore[misc]
+        # the fold meets parents in reverse preorder; reversed below
+        edges.append((v, second))
+        edges.append((v, first))
+        h = max(a[0], b[0]) + 1
+        y = (a[1] + b[1]) / 2.0
         xy[v] = (leaf_x + direction * h * 0.5 * unit, y)
         return h, y
 
-    walk(tree.root)
+    tree.fold(leaf, node)
+    edges.reverse()
     return xy, edges
 
 
@@ -139,18 +148,16 @@ def to_svg(layout: Layout, spec: DrawingSpec = DrawingSpec()) -> str:
     parts.append("</g>")
 
     parts.append(f'<g class="labels" font-family="sans-serif" font-size="{_f(0.5 * u)}">')
-    for k, lab in enumerate(layout.left_order, start=1):
-        x, y = left_xy[t.left.vertex_of(lab)]
-        parts.append(
-            f'<text class="leaf-label-left" x="{_f(x - 0.45 * u)}" '
-            f'y="{_f(y + 0.17 * u)}" text-anchor="end">{lab}</text>'
-        )
-    for k, lab in enumerate(layout.right_order, start=1):
-        x, y = right_xy[t.right.vertex_of(lab)]
-        parts.append(
-            f'<text class="leaf-label-right" x="{_f(x + 0.45 * u)}" '
-            f'y="{_f(y + 0.17 * u)}" text-anchor="start">{lab}</text>'
-        )
+    for side, anchor, dx, tree, xy, order in (
+        ("left", "end", -0.45 * u, t.left, left_xy, layout.left_order),
+        ("right", "start", 0.45 * u, t.right, right_xy, layout.right_order),
+    ):
+        for lab in order:
+            x, y = xy[tree.vertex_of(lab)]
+            parts.append(
+                f'<text class="leaf-label-{side}" x="{_f(x + dx)}" '
+                f'y="{_f(y + 0.17 * u)}" text-anchor="{anchor}">{str(lab).translate(_XML_ESCAPES)}</text>'
+            )
     parts.append("</g>")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -180,16 +187,14 @@ def to_tikz(layout: Layout, spec: DrawingSpec = DrawingSpec()) -> str:
             lines.append(
                 rf"\node[fill,{shape},inner sep=1.4pt] at ({_f(x)},{_f(y)}) {{}};"
             )
-    for lab in layout.left_order:
-        x, y = left_xy[t.left.vertex_of(lab)]
-        lines.append(
-            rf"\node[anchor=east] at ({_f(x - 0.2 * spec.unit)},{_f(y)}) {{{lab}}};"
-        )
-    for lab in layout.right_order:
-        x, y = right_xy[t.right.vertex_of(lab)]
-        lines.append(
-            rf"\node[anchor=west] at ({_f(x + 0.2 * spec.unit)},{_f(y)}) {{{lab}}};"
-        )
+    for anchor, dx, tree, xy, order in (
+        ("east", -0.2 * spec.unit, t.left, left_xy, layout.left_order),
+        ("west", 0.2 * spec.unit, t.right, right_xy, layout.right_order),
+    ):
+        for lab in order:
+            x, y = xy[tree.vertex_of(lab)]
+            label = str(lab).translate(_TEX_ESCAPES)
+            lines.append(rf"\node[anchor={anchor}] at ({_f(x + dx)},{_f(y)}) {{{label}}};")
     lines.append(r"\end{tikzpicture}")
     return "\n".join(lines) + "\n"
 

@@ -20,11 +20,12 @@ the bar set of that permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .perm import Permutation, bar_members, contains_pattern, standardize
-from .trees import Label, RootedBinaryTree, caterpillar, label_sort_key
+from .trees import Label, RootedBinaryTree, caterpillar, label_from_token, label_sort_key
 
 
 class Tanglegram:
@@ -84,7 +85,7 @@ class Tanglegram:
             raise ValueError(f"unknown right leaf label {right_label!r}") from None
 
     def __repr__(self) -> str:
-        return f"Tanglegram.parse({format_tanglegram(self)!r})"
+        return f"parse_tanglegram({format_tanglegram(self)!r})"
 
 
 # ----------------------------------------------------------------------
@@ -165,47 +166,30 @@ def distance_pairs(t: Tanglegram) -> DistancePairMultiset:
 def _canonical_leaf_orders(
     tree: RootedBinaryTree,
 ) -> tuple[str, list[tuple[Label, ...]]]:
-    """Shape code and the leaf orders of all embeddings realizing it."""
-    code: dict[int, str] = {}
-    sym: list[int] = []
+    """Shape code and the leaf orders of all embeddings realizing it.
 
-    def codes(v: int) -> str:
-        pair = tree.children(v)
-        if pair is None:
-            c = "L"
-        else:
-            a = codes(pair[0])
-            b = codes(pair[1])
-            if a == b:
-                sym.append(v)
-            c = "(" + (a + b if a <= b else b + a) + ")"
-        code[v] = c
-        return c
+    An asymmetric vertex is forced to put its smaller child code first;
+    a symmetric one is free. The forced swaps form one swap mask, and
+    every subset of the symmetric vertices' bits is added to it.
+    """
+    bit = tree._internal_bit
+    forced = 0
+    free: list[int] = []
 
-    root_code = codes(tree.root)
-    bit = {v: k for k, v in enumerate(sym)}
+    def shape(v: int, a: str, b: str) -> str:
+        nonlocal forced
+        if a == b:
+            free.append(1 << bit[v])
+        elif a > b:
+            forced |= 1 << bit[v]
+            a, b = b, a
+        return "(" + a + b + ")"
 
-    orders: list[tuple[Label, ...]] = []
-    for mask in range(1 << len(sym)):
-        out: list[Label] = []
-
-        def walk(v: int) -> None:
-            pair = tree.children(v)
-            if pair is None:
-                out.append(tree.label_at(v))
-                return
-            a, b = pair
-            if v in bit:
-                if mask >> bit[v] & 1:
-                    a, b = b, a
-            elif code[a] > code[b]:
-                a, b = b, a
-            walk(a)
-            walk(b)
-
-        walk(tree.root)
-        orders.append(tuple(out))
-    return root_code, orders
+    root_code = tree.fold(lambda lab: "L", shape)
+    masks = [forced]
+    for flip in free:
+        masks += [m | flip for m in masks]
+    return root_code, [tree._read_leaves(m) for m in masks]
 
 
 def canonical_form(t: Tanglegram) -> tuple[str, str, tuple[int, ...]]:
@@ -274,14 +258,30 @@ def is_induced_sub(sub: Tanglegram, sup: Tanglegram) -> bool:
         small = catergram_permutation(sub)
         big = catergram_permutation(sup)
         return any(contains_pattern(big, s) is not None for _, s in bar_members(small))
-    want_pairs = distance_pairs(sub)
-    want_form = canonical_form(sub)
-    for subset in combinations(sup.edges, m):
+    return _has_induced_copy(sup, [(distance_pairs(sub), canonical_form(sub))])
+
+
+def _has_induced_copy(
+    sup: Tanglegram,
+    targets: Sequence[tuple[DistancePairMultiset, tuple]],
+) -> bool:
+    """True iff some edge subset of ``sup`` induces one of the targets.
+
+    Each target is a ``(distance_pairs, canonical_form)`` pair; all have
+    the same size m. The m-edge subsets are scanned in combinations
+    order; the distance-pair multiset filters each candidate, and its
+    canonical form is computed at most once, only when some filter passes.
+    """
+    for subset in combinations(sup.edges, len(targets[0][0])):
         cand = induced_subtanglegram(sup, subset)
-        if distance_pairs(cand) != want_pairs:
-            continue
-        if canonical_form(cand) == want_form:
-            return True
+        pairs = distance_pairs(cand)
+        form = None
+        for want_pairs, want_form in targets:
+            if pairs == want_pairs:
+                if form is None:
+                    form = canonical_form(cand)
+                if form == want_form:
+                    return True
     return False
 
 
@@ -294,21 +294,16 @@ def format_tanglegram(t: Tanglegram) -> str:
     return f"{t.left.to_newick()} ; {t.right.to_newick()} ; {matching}"
 
 
-def _parse_label_token(token: str) -> Label:
-    tok = token.strip()
-    if not tok:
-        raise ValueError("empty label token")
-    return int(tok) if tok.isdigit() else tok
-
-
 def parse_tanglegram(text: str) -> Tanglegram:
     """Parse the one-line text form, or the shorthand ``catergram (2,3,4,1)``.
 
     The shorthand takes any distinct-integer sequence and standardizes
     it, so ``catergram (2,3,5,1)`` names the catergram of (2,3,4,1).
+    Text containing ``;`` is always the three-field form, even when a
+    leaf label starts with ``catergram``.
     """
     s = text.strip()
-    if s.startswith("catergram"):
+    if ";" not in s and s.startswith("catergram"):
         return catergram(standardize(s[len("catergram") :].strip()))
     parts = s.split(";")
     if len(parts) != 3:
@@ -320,27 +315,23 @@ def parse_tanglegram(text: str) -> Tanglegram:
         halves = chunk.split(":")
         if len(halves) != 2:
             raise ValueError(f"bad matching entry {chunk!r}, expected left:right")
-        matching.append((_parse_label_token(halves[0]), _parse_label_token(halves[1])))
+        matching.append((label_from_token(halves[0]), label_from_token(halves[1])))
     return Tanglegram(left, right, matching)
 
 
 # ----------------------------------------------------------------------
 # exhaustive enumeration at small sizes
 
-def _ordered_shapes(n: int, _memo: dict[int, list] = {}) -> list:
-    if n in _memo:
-        return _memo[n]
+@cache
+def _ordered_shapes(n: int) -> list:
     if n == 1:
-        out: list = [None]
-    else:
-        out = [
-            (a, b)
-            for k in range(1, n)
-            for a in _ordered_shapes(k)
-            for b in _ordered_shapes(n - k)
-        ]
-    _memo[n] = out
-    return out
+        return [None]
+    return [
+        (a, b)
+        for k in range(1, n)
+        for a in _ordered_shapes(k)
+        for b in _ordered_shapes(n - k)
+    ]
 
 
 def _tree_from_shape(shape, start: int = 1) -> tuple:

@@ -16,10 +16,11 @@ parsed tree reproduces the text byte for byte.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 Label = int | str
 Nested = object  # a Label, or a 2-tuple of Nested
+T = TypeVar("T")
 
 _NEWICK_DELIMS = "(),;"
 _FORBIDDEN_IN_LABELS = "(),;:"
@@ -30,6 +31,20 @@ def label_sort_key(label: Label) -> tuple[int, int | str]:
     if isinstance(label, int):
         return (0, label)
     return (1, str(label))
+
+
+def label_from_token(token: str) -> Label:
+    """Read a label token, surrounding space ignored: ASCII digits without
+    a leading zero make an int.
+
+    Every other token stays a string, so ``007`` prints back as ``007``.
+    """
+    tok = token.strip()
+    if not tok:
+        raise ValueError("empty label token")
+    if tok.isascii() and tok.isdigit() and (tok == "0" or tok[0] != "0"):
+        return int(tok)
+    return tok
 
 
 def _check_label(label: object) -> None:
@@ -47,16 +62,22 @@ class RootedBinaryTree:
     :func:`caterpillar`; the raw constructor takes a child table and a
     leaf-label table and validates shape, connectivity and label
     uniqueness.
+
+    Every walk runs over the preorder vertex tuple, never by recursion,
+    so depth does not limit tree size. The leaves below a vertex occupy
+    an interval ``[lo, hi)`` of the stored-order leaf tuple.
     """
 
     __slots__ = (
         "_kids",
         "_label_of",
         "_vertex_of",
+        "_pre",
         "_depth_of",
-        "_desc_labels",
         "_internal_bit",
-        "_n_leaves",
+        "_leaves",
+        "_lo",
+        "_hi",
         "_canon",
     )
 
@@ -68,13 +89,13 @@ class RootedBinaryTree:
         table: list[tuple[int, int] | None] = []
         for k in kids:
             table.append(None if k is None else (int(k[0]), int(k[1])))
-        self._kids = tuple(table)
-        m = len(self._kids)
+        self._kids = table = tuple(table)
+        m = len(table)
         if m == 0:
             raise ValueError("a tree needs at least one vertex")
 
         seen_child = [False] * m
-        for pair in self._kids:
+        for pair in table:
             if pair is None:
                 continue
             for c in pair:
@@ -85,46 +106,102 @@ class RootedBinaryTree:
                 if seen_child[c]:
                     raise ValueError(f"vertex {c} has two parents")
                 seen_child[c] = True
-        if any(not seen_child[v] for v in range(1, m)):
+
+        # The one walk from the root: preorder, and with it each vertex's
+        # depth, its first leaf's index and the preorder bit index of
+        # each internal vertex. With one parent per vertex and none for
+        # the root it visits each vertex at most once.
+        pre: list[int] = []
+        leaf_ids: list[int] = []
+        lo = [0] * m
+        depth_of = [0] * m
+        internal_bit: dict[int, int] = {}
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            pre.append(v)
+            lo[v] = len(leaf_ids)
+            pair = table[v]
+            if pair is None:
+                leaf_ids.append(v)
+            else:
+                internal_bit[v] = len(internal_bit)
+                a, b = pair
+                depth_of[a] = depth_of[b] = depth_of[v] + 1
+                stack.append(b)
+                stack.append(a)
+        if len(pre) != m:
             raise ValueError("tree is disconnected")
 
         label_of = dict(labels)
-        leaves = [v for v in range(m) if self._kids[v] is None]
-        if set(label_of) != set(leaves):
+        if set(label_of) != set(leaf_ids):
             raise ValueError("labels must cover exactly the leaves")
         for lab in label_of.values():
             _check_label(lab)
         if len(set(label_of.values())) != len(label_of):
             raise ValueError("leaf labels must be pairwise distinct")
 
+        # a vertex's leaf interval ends where its second child's ends
+        hi = [0] * m
+        for v in reversed(pre):
+            pair = table[v]
+            hi[v] = lo[v] + 1 if pair is None else hi[pair[1]]
+
         self._label_of = label_of
         self._vertex_of = {lab: v for v, lab in label_of.items()}
-        self._n_leaves = len(leaves)
-
-        # Depth, descendant labels and a preorder bit index per internal
-        # vertex, all derived by one walk from the root.
-        depth_of = [0] * m
-        desc: list[frozenset[Label] | None] = [None] * m
-        internal_bit: dict[int, int] = {}
-        order: list[int] = []
-
-        def walk(v: int, d: int) -> frozenset[Label]:
-            depth_of[v] = d
-            pair = self._kids[v]
-            if pair is None:
-                out = frozenset((self._label_of[v],))
-            else:
-                internal_bit[v] = len(internal_bit)
-                out = walk(pair[0], d + 1) | walk(pair[1], d + 1)
-            desc[v] = out
-            order.append(v)
-            return out
-
-        walk(0, 0)
+        self._pre = tuple(pre)
         self._depth_of = tuple(depth_of)
-        self._desc_labels = tuple(desc)  # type: ignore[arg-type]
         self._internal_bit = internal_bit
-        self._canon = self._canonical_string(0)
+        # from a list: a tuple grown from a generator skips CPython's tuple
+        # free list when made but joins it when freed, which bloats the list
+        self._leaves = tuple([label_of[v] for v in leaf_ids])
+        self._lo = tuple(lo)
+        self._hi = tuple(hi)
+        # canonical string of the unordered tree: children sorted
+        self._canon = self.fold(
+            lambda lab: f"<{'i' if isinstance(lab, int) else 's'}{lab}>",
+            lambda v, a, b: f"({a}{b})" if a <= b else f"({b}{a})",
+        )
+
+    # ------------------------------------------------------------------
+    # the two walks every other traversal is built on
+
+    def fold(self, leaf: Callable[[Label], T], node: Callable[[int, T, T], T]) -> T:
+        """Bottom-up fold: ``leaf(label)`` at each leaf, ``node(v, a, b)``
+        at each internal vertex v with the values of its stored first and
+        second child. Runs over reversed preorder with a value stack."""
+        kids = self._kids
+        label_of = self._label_of
+        values: list = []
+        push, pop = values.append, values.pop
+        for v in reversed(self._pre):
+            if kids[v] is None:
+                push(leaf(label_of[v]))
+            else:
+                a = pop()
+                push(node(v, a, pop()))
+        return values[0]
+
+    def _read_leaves(self, swap_mask: int) -> tuple[Label, ...]:
+        # Top-down leaf read; bit k of the mask flips the k-th internal
+        # vertex in preorder. The caller checks the mask.
+        kids = self._kids
+        bit = self._internal_bit
+        label_of = self._label_of
+        out: list[Label] = []
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            pair = kids[v]
+            if pair is None:
+                out.append(label_of[v])
+            elif swap_mask >> bit[v] & 1:
+                stack.append(pair[0])
+                stack.append(pair[1])
+            else:
+                stack.append(pair[1])
+                stack.append(pair[0])
+        return tuple(out)
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -132,76 +209,71 @@ class RootedBinaryTree:
     @classmethod
     def from_nested(cls, nested: Nested) -> "RootedBinaryTree":
         """Build from nested 2-tuples with labels at the leaves."""
-        kids: list[tuple[int, int] | None] = []
+        kids: list[list[int] | None] = []
         labels: dict[int, Label] = {}
-
-        def build(node: Nested) -> int:
+        todo: list[tuple[Nested, int]] = [(nested, -1)]
+        while todo:
+            node, parent = todo.pop()
             v = len(kids)
-            kids.append(None)
+            if parent >= 0:
+                kids[parent].append(v)  # type: ignore[union-attr]
             if isinstance(node, tuple):
                 if len(node) != 2:
                     raise ValueError("an internal vertex needs exactly two children")
-                a = build(node[0])
-                b = build(node[1])
-                kids[v] = (a, b)
+                kids.append([])
+                todo.append((node[1], v))
+                todo.append((node[0], v))
             else:
+                kids.append(None)
                 labels[v] = node  # type: ignore[assignment]
-            return v
-
-        build(nested)
-        return cls(kids, labels)
+        return cls(kids, labels)  # type: ignore[arg-type]
 
     def to_nested(self) -> Nested:
-        def emit(v: int) -> Nested:
-            pair = self._kids[v]
-            if pair is None:
-                return self._label_of[v]
-            return (emit(pair[0]), emit(pair[1]))
-
-        return emit(0)
+        return self.fold(lambda lab: lab, lambda v, a, b: (a, b))
 
     @classmethod
     def from_newick(cls, text: str) -> "RootedBinaryTree":
-        """Parse the Newick-like text form. Digit-only tokens become ints."""
+        """Parse the Newick-like text form; see :func:`label_from_token`."""
         s = text.strip()
         pos = 0
-
-        def parse() -> Nested:
-            nonlocal pos
+        kids: list[list[int] | None] = []
+        labels: dict[int, Label] = {}
+        open_: list[int] = []  # internal vertices still missing a ',' or ')'
+        while True:
             if pos >= len(s):
                 raise ValueError("unexpected end of tree text")
+            v = len(kids)
+            if open_:
+                kids[open_[-1]].append(v)  # type: ignore[union-attr]
             if s[pos] == "(":
+                kids.append([])
+                open_.append(v)
                 pos += 1
-                left = parse()
-                if pos >= len(s) or s[pos] != ",":
-                    raise ValueError(f"expected ',' at column {pos}")
-                pos += 1
-                right = parse()
-                if pos >= len(s) or s[pos] != ")":
-                    raise ValueError(f"expected ')' at column {pos}")
-                pos += 1
-                return (left, right)
+                continue
             start = pos
             while pos < len(s) and s[pos] not in _NEWICK_DELIMS and not s[pos].isspace():
                 pos += 1
             if pos == start:
                 raise ValueError(f"expected a leaf label at column {pos}")
-            token = s[start:pos]
-            return int(token) if token.isdigit() else token
-
-        nested = parse()
+            kids.append(None)
+            labels[v] = label_from_token(s[start:pos])
+            # a subtree is complete: close every vertex it completes
+            while open_ and len(kids[open_[-1]]) == 2:  # type: ignore[arg-type]
+                if pos >= len(s) or s[pos] != ")":
+                    raise ValueError(f"expected ')' at column {pos}")
+                pos += 1
+                open_.pop()
+            if not open_:
+                break
+            if pos >= len(s) or s[pos] != ",":
+                raise ValueError(f"expected ',' at column {pos}")
+            pos += 1
         if pos != len(s):
             raise ValueError(f"trailing text after tree: {s[pos:]!r}")
-        return cls.from_nested(nested)
+        return cls(kids, labels)  # type: ignore[arg-type]
 
     def to_newick(self) -> str:
-        def emit(v: int) -> str:
-            pair = self._kids[v]
-            if pair is None:
-                return str(self._label_of[v])
-            return f"({emit(pair[0])},{emit(pair[1])})"
-
-        return emit(0)
+        return self.fold(str, lambda v, a, b: f"({a},{b})")
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -212,7 +284,7 @@ class RootedBinaryTree:
 
     @property
     def n_leaves(self) -> int:
-        return self._n_leaves
+        return len(self._leaves)
 
     @property
     def n_vertices(self) -> int:
@@ -243,7 +315,7 @@ class RootedBinaryTree:
         return frozenset(self._vertex_of)
 
     def subtree_labels(self, v: int) -> frozenset[Label]:
-        return self._desc_labels[v]
+        return frozenset(self._leaves[self._lo[v] : self._hi[v]])
 
     def leaf_depths(self) -> dict[Label, int]:
         """Depth (edge count from the root) per leaf label."""
@@ -259,7 +331,7 @@ class RootedBinaryTree:
         root. Any tree with 2 or 3 leaves qualifies; a single leaf does
         not (the shape is only defined from two leaves up).
         """
-        n = self._n_leaves
+        n = len(self._leaves)
         if n < 2:
             return False
         depths = sorted(self._depth_of[v] for v in self._vertex_of.values())
@@ -274,17 +346,20 @@ class RootedBinaryTree:
         internal vertices exactly 2**k orders pass.
         """
         seq = tuple(order)
-        if len(seq) != self._n_leaves or set(seq) != set(self._vertex_of):
+        n = len(self._leaves)
+        if len(seq) != n or set(seq) != set(self._vertex_of):
             raise ValueError("order must be a permutation of the leaf labels")
         pos = {lab: k for k, lab in enumerate(seq)}
-        for v, pair in enumerate(self._kids):
-            if pair is None:
-                continue
-            block = self._desc_labels[v]
-            ps = [pos[lab] for lab in block]
-            if max(ps) - min(ps) + 1 != len(ps):
-                return False
-        return True
+        first, end = self._lo, self._hi
+
+        def block(v: int, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+            # min and max position of v's leaves; a broken block widens
+            # to (-n, n), which breaks every block above it as well
+            lo = a[0] if a[0] < b[0] else b[0]
+            hi = a[1] if a[1] > b[1] else b[1]
+            return (lo, hi) if hi - lo == end[v] - first[v] - 1 else (-n, n)
+
+        return self.fold(lambda lab: (pos[lab], pos[lab]), block) == (0, n - 1)
 
     # ------------------------------------------------------------------
     # plane embeddings
@@ -295,23 +370,9 @@ class RootedBinaryTree:
         Bit k of the mask flips the stored child order at the k-th
         internal vertex in preorder. Mask 0 reads the tree as stored.
         """
-        if not 0 <= swap_mask < (1 << self.internal_count):
+        if not 0 <= swap_mask < (1 << len(self._internal_bit)):
             raise ValueError("swap mask out of range")
-        out: list[Label] = []
-
-        def walk(v: int) -> None:
-            pair = self._kids[v]
-            if pair is None:
-                out.append(self._label_of[v])
-                return
-            a, b = pair
-            if swap_mask >> self._internal_bit[v] & 1:
-                a, b = b, a
-            walk(a)
-            walk(b)
-
-        walk(0)
-        return tuple(out)
+        return self._read_leaves(swap_mask)
 
     def all_leaf_orders(self) -> Iterator[tuple[Label, ...]]:
         """All consistent leaf orders, in increasing swap-mask order."""
@@ -335,37 +396,16 @@ class RootedBinaryTree:
         if unknown:
             raise ValueError(f"unknown leaf labels: {sorted(map(str, unknown))}")
 
-        def build(v: int) -> Nested | None:
-            pair = self._kids[v]
-            if pair is None:
-                lab = self._label_of[v]
-                return lab if lab in want else None
-            a = build(pair[0])
-            b = build(pair[1])
-            if a is None:
-                return b
-            if b is None:
-                return a
-            return (a, b)
-
-        nested = build(0)
+        # a vertex with kept leaves on one side only is suppressed
+        nested = self.fold(
+            lambda lab: lab if lab in want else None,
+            lambda v, a, b: b if a is None else a if b is None else (a, b),
+        )
         assert nested is not None
         return RootedBinaryTree.from_nested(nested)
 
     # ------------------------------------------------------------------
     # equality up to isomorphism of labeled rooted trees
-
-    def _canonical_string(self, v: int) -> str:
-        pair = self._kids[v]
-        if pair is None:
-            lab = self._label_of[v]
-            tag = "i" if isinstance(lab, int) else "s"
-            return f"<{tag}{lab}>"
-        a = self._canonical_string(pair[0])
-        b = self._canonical_string(pair[1])
-        if b < a:
-            a, b = b, a
-        return f"({a}{b})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RootedBinaryTree):

@@ -13,9 +13,9 @@ from tanglekit import (
     RootedBinaryTree,
     Tanglegram,
     bar_set,
-    count_crossings,
     crossing_number,
     excluded_tanglegrams,
+    layout_permutation,
 )
 
 settings.register_profile(
@@ -29,12 +29,23 @@ settings.load_profile("suite")
 
 # ---------------------------------------------------------------- oracles
 
+def pair_scan_inversions(seq) -> int:
+    """Inversion count by scanning every pair of positions."""
+    n = len(seq)
+    return sum(1 for a in range(n) for b in range(a + 1, n) if seq[a] > seq[b])
+
+
+def pair_scan_crossings(layout: Layout) -> int:
+    """Interleaving matching-edge pairs of a layout, by direct pair scan."""
+    return pair_scan_inversions(layout_permutation(layout).entries)
+
+
 def naive_crossing_number(t: Tanglegram) -> int:
     """Brute-force minimum: sweep every consistent order on both sides."""
     best = None
     for lo in t.left.all_leaf_orders():
         for ro in t.right.all_leaf_orders():
-            c = count_crossings(Layout(t, lo, ro))
+            c = pair_scan_crossings(Layout(t, lo, ro))
             if best is None or c < best:
                 best = c
             if best == 0:

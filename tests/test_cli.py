@@ -1,10 +1,12 @@
 """Command-line interface: output formats and exit codes."""
 
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from tanglekit import cli
 from tanglekit.cli import main
 
 from conftest import svg_leaf_order
@@ -195,6 +197,20 @@ class TestCensus:
         assert "budget exceeded" in capsys.readouterr().err
 
 
+class TestLastResort:
+    def test_recursion_error_is_a_budget_error(self, planar_file, monkeypatch, capsys):
+        def too_deep(args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setitem(cli._HANDLERS, "planar", too_deep)
+        assert main(["planar", planar_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("budget exceeded: ")
+        assert "recursion depth" in captured.err
+        assert "Traceback" not in captured.err
+
+
 class TestUsage:
     def test_no_arguments(self, capsys):
         assert main([]) == 2
@@ -205,3 +221,61 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "tanglekit" in capsys.readouterr().out
+
+
+# Inputs and the sha256 of the stdout each command printed before the tree
+# kernel became iterative; a change to any emitted byte shows up here.
+PINNED_FILES = {
+    "crossed": "catergram (3,2,1,4)",
+    "balanced": "((1,2),(3,4)) ; ((1,2),(3,4)) ; 1:1,2:3,3:2,4:4",
+    "planar10": "catergram (1,10,2,9,3,8,4,7,5,6)",
+    "cater10": "catergram (4,9,1,7,10,2,6,3,8,5)",
+    "mixed10": "(((a,b),(c,d)),((e,f),(g,(h,(i,j))))) ; ((j,(a,e)),(((b,g),(c,i)),((d,f),h)))"
+    " ; a:b,b:d,c:a,d:j,e:c,f:i,g:e,h:h,i:f,j:g",
+    "ints8": "((1,(10,2)),((3,4),(5,(6,7)))) ; (((1,2),3),((4,10),((5,6),7)))"
+    " ; 1:3,2:10,3:1,4:7,5:2,6:6,7:4,10:5",
+    "small": "((a,b),c) ; (a,(b,c)) ; a:a,b:b,c:c",
+}
+PINNED_OUTPUTS = [
+    ("layout --emit svg crossed", 0, "c82ee5a18ff959bf81e3be7c0c56296b8a61e10bfbc1c154288d8e7c47fef6cc"),
+    ("layout --emit tikz crossed", 0, "d5affe65681cbd476b28c8d07a2b5821959adf7db6b67dd5bdde6f67de716251"),
+    ("layout --emit text crossed", 0, "27d14ac6cb8caa7c767243576a4b71dc615029dc14e50453d0377fd8f9a12309"),
+    ("layout --emit svg balanced", 0, "73c8534b2ac76c1bdca48fbb6d8b4316ace5b95647051557ef75bd83ad03f51e"),
+    ("layout --emit tikz balanced", 0, "95bf467275be89071853bef48d85572acc5ef0b2f13624df451d7cd3bf58400e"),
+    ("layout --emit text balanced", 0, "79e659694ff3fb9a9693d0d1ce59d4c7c1b1725e6b282c8df2c585b3f93c4e97"),
+    ("layout --emit svg planar10", 0, "702eb38a5caab0cb534ce3551b165397303679ff1703fce2474871ba425a78ff"),
+    ("layout --emit tikz planar10", 0, "7a710a23a3e09538d7c2b007bc511df95752b8f3a7c389df1d61514bd9118c9e"),
+    ("layout --emit text planar10", 0, "9a9e560371fd205074874599b783c6f5558941f9ff472f61c7170998d81ef994"),
+    ("layout --emit svg cater10", 0, "727fb21147fbe14198e047bf494e30c195dc66c6347bb1cca5bf85e12746b5db"),
+    ("layout --emit tikz cater10", 0, "607d8d893f2b50758c4aaac6e3faa14a4a61298dc3f109de7cbd20d76096bb7d"),
+    ("layout --emit text cater10", 0, "f3bd0f93e85b5a666f53a6354489f3de814f48204a4cde5c95220f7b426dd147"),
+    ("layout --emit svg mixed10", 0, "55c791a568c98bddb616d47a5c9f75162933f9bda05169a56e2f62397c51c9af"),
+    ("layout --emit tikz mixed10", 0, "a47615fe6b0e10a8347e7738a3055684a442cf6a1925275f77cfe32705fb1a62"),
+    ("layout --emit text mixed10", 0, "38b6c251616a6bf101972f5fee5472abe183bf0ef038f82303bf9e1a76bba79d"),
+    ("layout --emit svg ints8", 0, "d3ce6951491ea9e9bd07e83ee4ff56c7cbf04001c1913bb2b74a384f56ed0f27"),
+    ("layout --emit tikz ints8", 0, "883c8ffa3965288e201ed1c27f18c5f436a31b828d7ae5e3bc4b7b9ec10fd818"),
+    ("layout --emit text ints8", 0, "0a1bf042504c9f327341f9cb1603e2dd167df7c72664481513418a39bd49fcda"),
+    ("census --size 4", 0, "0c2218012ecf1013b9ddd5938367bae8429dd7b9757a53257d34d681f12c9eef"),
+    ("induced crossed cater10", 0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+    ("induced crossed balanced", 1, "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
+    ("induced balanced mixed10", 0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+    ("induced balanced ints8", 0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+    ("planar small", 0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+    ("planar mixed10", 1, "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
+    ("planar ints8", 1, "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
+    ("planar planar10", 0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+    ("planar cater10 --method oracle", 1, "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
+    ("crossing-number mixed10", 0, "f0b5c2c2211c8d67ed15e75e656c7862d086e9245420892a7de62cd9ec582a06"),
+]
+
+
+@pytest.mark.parametrize("command,code,digest", PINNED_OUTPUTS, ids=[c for c, _, _ in PINNED_OUTPUTS])
+def test_pinned_output(command, code, digest, tmp_path, capsys):
+    argv = []
+    for arg in command.split():
+        if arg in PINNED_FILES:
+            (tmp_path / arg).write_text(PINNED_FILES[arg] + "\n")
+            arg = str(tmp_path / arg)
+        argv.append(arg)
+    assert main(argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

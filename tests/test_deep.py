@@ -1,0 +1,93 @@
+"""Inputs far deeper than Python's default recursion limit.
+
+A caterpillar is as deep as it has leaves, so every tree walk here runs
+on 2500-leaf trees at the default limit of 1000 frames.
+"""
+
+import sys
+import xml.etree.ElementTree as ET
+
+import pytest
+
+from tanglekit import (
+    Permutation,
+    RootedBinaryTree,
+    canonical_form,
+    catergram,
+    caterpillar,
+    rho,
+    rho_layout,
+    tilde,
+    to_svg,
+    to_text,
+    to_tikz,
+)
+from tanglekit.cli import main
+
+N = 2500
+
+
+@pytest.fixture(autouse=True)
+def default_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
+
+
+@pytest.fixture(scope="module")
+def deep():
+    return caterpillar(N)
+
+
+def test_newick_round_trip_and_equality(deep):
+    text = deep.to_newick()
+    again = RootedBinaryTree.from_newick(text)
+    assert again.to_newick() == text
+    assert again == deep and hash(again) == hash(deep)
+    flipped = RootedBinaryTree.from_nested(deep.fold(lambda lab: lab, lambda v, a, b: (b, a)))
+    assert flipped == deep and flipped.to_newick() != text
+    assert RootedBinaryTree.from_nested(deep.to_nested()).to_newick() == text
+
+
+def test_leaf_orders(deep):
+    everything = (1 << deep.internal_count) - 1
+    backwards = deep.leaf_order(everything)
+    assert backwards == tuple(range(N, 0, -1))
+    assert deep.order_consistent(backwards)
+    assert deep.order_consistent(deep.leaf_order(0))
+    assert not deep.order_consistent((N,) + tuple(range(1, N)))
+
+
+def test_subtrees(deep):
+    second = deep.children(deep.root)[1]
+    assert deep.subtree_labels(second) == frozenset(range(2, N + 1))
+    odd = deep.induced(range(1, N + 1, 2))
+    assert odd.n_leaves == N // 2 and odd.is_caterpillar()
+    assert deep.induced(deep.labels()) == deep
+
+
+def test_canonical_form():
+    pi = rho((N - 12) // 2)
+    assert len(pi) == N
+    form = canonical_form(catergram(pi))
+    assert form == canonical_form(catergram(tilde(pi)))
+    assert form != canonical_form(catergram(Permutation.identity(N)))
+
+
+def test_rendering():
+    lay = rho_layout((N - 12) // 2)
+    assert to_text(lay).endswith("crossings: 0\n")
+    root = ET.fromstring(to_svg(lay))
+    assert len(root.findall(".//{http://www.w3.org/2000/svg}text")) == 2 * N
+    tikz = to_tikz(lay)
+    assert tikz.count(r"\draw[dashed") == N
+
+
+def test_cli_induced_into_a_deep_catergram(tmp_path, capsys):
+    sub = tmp_path / "sub.tg"
+    sub.write_text("catergram (1,2)\n")
+    sup = tmp_path / "sup.tg"
+    sup.write_text("catergram (" + ",".join(map(str, range(N, 0, -1))) + ")\n")
+    assert main(["induced", str(sub), str(sup)]) == 0
+    assert capsys.readouterr().out == "true\n"

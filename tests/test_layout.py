@@ -25,7 +25,14 @@ from tanglekit import (
     rho_layout,
 )
 
-from conftest import layouts, naive_crossing_number, permutation_entries, tanglegrams
+from conftest import (
+    layouts,
+    naive_crossing_number,
+    pair_scan_crossings,
+    pair_scan_inversions,
+    permutation_entries,
+    tanglegrams,
+)
 
 
 @pytest.fixture
@@ -83,17 +90,11 @@ class TestCounting:
 
     @given(st.lists(st.integers(-50, 50), max_size=40))
     def test_inversion_counter_matches_pair_scan(self, seq):
-        brute = sum(
-            1
-            for a in range(len(seq))
-            for b in range(a + 1, len(seq))
-            if seq[a] > seq[b]
-        )
-        assert count_inversions(seq) == brute
+        assert count_inversions(seq) == pair_scan_inversions(seq)
 
     @given(layouts(2, 7))
     def test_crossings_equal_inversions_of_layout_permutation(self, lay):
-        assert count_crossings(lay) == count_inversions(
+        assert count_crossings(lay) == pair_scan_crossings(lay) == count_inversions(
             layout_permutation(lay).entries
         )
 

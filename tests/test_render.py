@@ -11,6 +11,7 @@ from tanglekit import (
     Permutation,
     catergram,
     count_crossings,
+    parse_tanglegram,
     rho_layout,
     to_svg,
     to_text,
@@ -28,6 +29,16 @@ from conftest import (
 def _sample_layout():
     t = catergram(Permutation((2, 3, 1)))
     return Layout(t, (1, 2, 3), (1, 2, 3))
+
+
+# labels the parser accepts that SVG or TeX treat specially
+ODD_LABELS = ("a<b", "x_1", "c&d", "50%", "p\\q~^{#$}")
+
+
+def _odd_label_layout():
+    line = "(((a<b,x_1),(c&d,50%)),p\\q~^{#$}) ; (((a<b,x_1),(c&d,50%)),p\\q~^{#$})"
+    t = parse_tanglegram(line + " ; " + ",".join(f"{lab}:{lab}" for lab in ODD_LABELS))
+    return Layout(t, ODD_LABELS, ODD_LABELS)
 
 
 class TestDrawingSpec:
@@ -86,6 +97,11 @@ class TestSvg:
         wide = svg_matching_segments(to_svg(lay, DrawingSpec(gutter=500.0)))
         assert all(x2 - x1 == 500.0 for x1, _, x2, _ in wide)
 
+    def test_labels_are_escaped(self):
+        svg = to_svg(_odd_label_layout())
+        assert svg_leaf_order(svg, "left") == ODD_LABELS
+        assert svg_leaf_order(svg, "right") == ODD_LABELS
+
     def test_twenty_leaf_drawing_is_crossing_free(self):
         svg = to_svg(rho_layout(4))
         assert count_segment_crossings(svg_matching_segments(svg)) == 0
@@ -106,6 +122,15 @@ class TestTikz:
         tikz = to_tikz(_sample_layout())
         assert r"\node[anchor=east]" in tikz
         assert r"\node[anchor=west]" in tikz
+
+    def test_labels_are_escaped(self):
+        tikz = to_tikz(_odd_label_layout())
+        bodies = [ln[ln.index(") {") + 3 : -2]
+                  for ln in tikz.splitlines() if ln.startswith(r"\node[anchor=east]")]
+        assert bodies == [
+            r"a<b", r"x\_1", r"c\&d", r"50\%",
+            r"p\textbackslash{}q\textasciitilde{}\textasciicircum{}\{\#\$\}",
+        ]
 
     def test_tree_edge_count(self):
         # a binary tree with n leaves draws 2(n-1) edges; two trees double it

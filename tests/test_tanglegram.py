@@ -259,6 +259,21 @@ class TestTextForm:
             parse_tanglegram("catergram (2,3,4,1)"),
         )
 
+    def test_zero_padded_labels_round_trip(self):
+        line = "(007,1) ; (1,007) ; 1:1,007:007"
+        t = parse_tanglegram(line)
+        assert format_tanglegram(t) == line
+        assert t.right_partner("007") == "007"
+
+    def test_shorthand_only_without_semicolons(self):
+        t = parse_tanglegram("catergram1 ; x ; catergram1:x")
+        assert t.right_partner("catergram1") == "x"
+
+    def test_repr_evaluates_back(self):
+        t = parse_tanglegram("(a,(b,c)) ; (c,(b,a)) ; a:c,b:b,c:a")
+        assert repr(t) == "parse_tanglegram('(a,(b,c)) ; (c,(b,a)) ; a:c,b:b,c:a')"
+        assert equal(eval(repr(t), {"parse_tanglegram": parse_tanglegram}), t)
+
     def test_string_labels_round_trip(self):
         line = "(a,(b,c)) ; (c,(b,a)) ; a:c,b:b,c:a"
         t = parse_tanglegram(line)

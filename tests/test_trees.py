@@ -36,6 +36,12 @@ def test_newick_integer_labels_parse_as_ints():
     assert all(isinstance(x, int) for x in t.labels())
 
 
+def test_newick_only_plain_ascii_numbers_become_ints():
+    t = RootedBinaryTree.from_newick("((007,0),(10,\u0663))")
+    assert t.to_newick() == "((007,0),(10,\u0663))"
+    assert t.labels() == frozenset({"007", 0, 10, "\u0663"})
+
+
 @pytest.mark.parametrize("bad", ["", "(a", "(a,)", "(a,b,c)", "a)b", "(a,(b)"])
 def test_newick_rejects_malformed(bad):
     with pytest.raises(ValueError):
@@ -142,6 +148,15 @@ def test_subtree_labels():
 def test_rejects_disconnected_vertex():
     with pytest.raises(ValueError):
         RootedBinaryTree([(1, 2), None, None, None], {1: "a", 2: "b", 3: "c"})
+
+
+def test_rejects_cycle_hanging_off_the_root():
+    # every vertex but the root has one parent, yet 3 and 4 form a cycle
+    with pytest.raises(ValueError, match="disconnected"):
+        RootedBinaryTree(
+            [(1, 2), None, None, (4, 5), (3, 6), None, None],
+            {1: "a", 2: "b", 5: "c", 6: "d"},
+        )
 
 
 def test_rejects_two_parents():
