@@ -89,6 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Built once per process: parse_args leaves the parser as it was, and
+# usage errors and --help still write to the sys.stderr / sys.stdout
+# current at call time.
+_PARSER = build_parser()
+
+
 def _read_tanglegram(path: str) -> Tanglegram:
     text = Path(path).read_text()
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -236,9 +242,8 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     try:

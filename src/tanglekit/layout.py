@@ -209,15 +209,19 @@ def _excluded_fingerprints():
 def is_planar(t: Tanglegram, method: str = "kuratowski", *, cap: int = DEFAULT_SIZE_CAP) -> bool:
     """Decide planarity.
 
-    ``kuratowski`` scans every 4-edge subset for an induced copy of one
-    of the two obstructions; ``oracle`` asks whether the crossing number
-    is zero (subject to the sweep's size cap). The two methods agree;
-    the test suite exercises that equivalence.
+    ``kuratowski`` looks for an induced copy of one of the two
+    obstructions: for a catergram by the forbidden-pattern test, for
+    any other tanglegram by scanning every 4-edge subset. ``oracle``
+    asks whether the crossing number is zero (subject to the sweep's
+    size cap). The two methods agree; the test suite exercises that
+    equivalence.
     """
     if method == "oracle":
         return crossing_number(t, cap=cap) == 0
     if method != "kuratowski":
         raise ValueError(f"unknown method {method!r}")
+    if is_catergram(t):
+        return is_planar_catergram(catergram_permutation(t))
     return not _has_induced_copy(t, _excluded_fingerprints())
 
 
@@ -255,8 +259,6 @@ def _cater_planar_positions(pi: Permutation) -> tuple[int, ...] | None:
     for v in range(1, n + 1):
         max_img_upto[v] = max(max_img_upto[v - 1], vals[v - 1])
 
-    block: list[int] = [n]
-
     def viable(next_value: int) -> bool:
         k = len(block)
         imgs = [vals[x - 1] for x in block]
@@ -274,25 +276,32 @@ def _cater_planar_positions(pi: Permutation) -> tuple[int, ...] | None:
                 return False  # more large images must attach, but the block is walled in
         return True
 
-    def dfs(v: int) -> bool:
+    # Depth-first over the end each label joins, with an explicit stack:
+    # ``sides`` holds the end (0 low, 1 high) that labels n-1, n-2, ...
+    # joined, and ``side`` is the next end to try for the label after them.
+    block: list[int] = [n]
+    sides: list[int] = []
+    side = 0
+    while True:
+        v = n - 1 - len(sides)
         if v == 0:
-            return is_cater_good([vals[x - 1] for x in block])
-        for side in (0, 1):
-            if side == 0:
-                block.insert(0, v)
+            if is_cater_good([vals[x - 1] for x in block]):
+                return tuple(block)
+        elif side < 2:
+            block.insert(len(block) if side else 0, v)
+            if viable(v - 1):
+                sides.append(side)
+                side = 0
             else:
-                block.append(v)
-            if viable(v - 1) and dfs(v - 1):
-                return True
-            if side == 0:
-                block.pop(0)
-            else:
-                block.pop()
-        return False
-
-    if dfs(n - 1):
-        return tuple(block)
-    return None
+                block.pop(-1 if side else 0)
+                side += 1
+            continue
+        # both ends are spent at this depth: step back
+        if not sides:
+            return None
+        side = sides.pop()
+        block.pop(-1 if side else 0)
+        side += 1
 
 
 def planar_layout(t: Tanglegram, *, cap: int = DEFAULT_SIZE_CAP) -> Layout | None:

@@ -12,6 +12,7 @@ text interfaces accept such sequences.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, insort
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
@@ -23,11 +24,12 @@ class Permutation:
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Iterable[int]):
-        t = tuple(int(x) for x in entries)
+        t = tuple(map(int, entries))
         n = len(t)
         if n == 0:
             raise ValueError("a permutation must be non-empty")
-        if sorted(t) != list(range(1, n + 1)):
+        # n distinct integers lying in 1..n are exactly 1..n
+        if min(t) != 1 or max(t) != n or len(set(t)) != n:
             raise ValueError(f"entries must be a bijection on 1..{n}")
         self._entries = t
 
@@ -84,7 +86,7 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
     if not body:
         raise ValueError("a permutation must be non-empty")
     try:
-        return tuple(int(tok.strip()) for tok in body.split(","))
+        return tuple(map(int, body.split(",")))  # int() strips spaces itself
     except ValueError:
         raise ValueError(f"bad permutation text {text!r}") from None
 
@@ -98,13 +100,11 @@ def standardize(values: "str | Iterable[int]") -> Permutation:
     from its standardization, so the text interfaces run inputs through
     this.
     """
-    t = _parse_int_tuple(values) if isinstance(values, str) else tuple(
-        int(x) for x in values
-    )
+    t = _parse_int_tuple(values) if isinstance(values, str) else tuple(map(int, values))
     if len(set(t)) != len(t):
         raise ValueError("values must be pairwise distinct")
     rank = {v: r for r, v in enumerate(sorted(t), start=1)}
-    return Permutation(rank[v] for v in t)
+    return Permutation(map(rank.__getitem__, t))
 
 
 def _as_entries(seq: "Permutation | Sequence[int]") -> tuple[int, ...]:
@@ -152,41 +152,51 @@ def contains_pattern(
         return None
 
     # For pattern step k: index of the tightest smaller / larger earlier
-    # entry, or -1 when unconstrained on that side.
-    lo_ref = [-1] * m
-    hi_ref = [-1] * m
-    for k in range(m):
-        lo_val, hi_val = 0, m + 1
-        for j in range(k):
-            if pat[j] < pat[k] and pat[j] > lo_val:
-                lo_val, lo_ref[k] = pat[j], j
-            elif pat[j] > pat[k] and pat[j] < hi_val:
-                hi_val, hi_ref[k] = pat[j], j
+    # entry; unconstrained sides point at the sentinel slots m and m + 1
+    # of ``vals``, which hold the bounds 0 and n + 1. ``seen`` holds the
+    # earlier values in order, so both neighbours are one bisection away.
+    index_of = [0] * (m + 1)
+    lo_ref = [m] * m
+    hi_ref = [m + 1] * m
+    seen: list[int] = []
+    for k, v in enumerate(pat):
+        at = bisect_left(seen, v)
+        if at:
+            lo_ref[k] = index_of[seen[at - 1]]
+        if at < k:
+            hi_ref[k] = index_of[seen[at]]
+        index_of[v] = k
+        insort(seen, v)
 
+    # Backtracking with an explicit cursor: ``chosen[k]`` is the text
+    # position of pattern step k. Positions are tried left to right at
+    # every step, so the first full embedding is the least one.
     chosen = [0] * m
-    vals = [0] * m
+    vals = [0] * m + [0, n + 1]
     ticks = 0
-
-    def dfs(k: int, start: int) -> bool:
-        nonlocal ticks
-        lo = vals[lo_ref[k]] if lo_ref[k] >= 0 else 0
-        hi = vals[hi_ref[k]] if hi_ref[k] >= 0 else n + 1
-        last = k + 1 == m
-        for p in range(start, n - (m - k) + 1):
+    k, p = 0, 0
+    while True:
+        lo, hi = vals[lo_ref[k]], vals[hi_ref[k]]
+        stop = n - m + k + 1
+        while p < stop:
             ticks += 1
             if deadline is not None and ticks % 4096 == 0 and time.monotonic() > deadline:
                 raise BudgetExceededError("pattern search ran past its deadline", cap=0)
-            v = text[p]
-            if lo < v < hi:
-                chosen[k] = p
-                vals[k] = v
-                if last or dfs(k + 1, p + 1):
-                    return True
-        return False
-
-    if dfs(0, 0):
-        return tuple(p + 1 for p in chosen)
-    return None
+            if lo < text[p] < hi:
+                break
+            p += 1
+        if p < stop:
+            chosen[k] = p
+            vals[k] = text[p]
+            if k + 1 == m:
+                return tuple(q + 1 for q in chosen)
+            k += 1
+            p += 1
+        elif k == 0:
+            return None
+        else:
+            k -= 1
+            p = chosen[k] + 1
 
 
 def hat(pi: Permutation) -> Permutation:

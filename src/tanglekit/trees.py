@@ -48,11 +48,17 @@ def label_from_token(token: str) -> Label:
 
 
 def _check_label(label: object) -> None:
+    # every label must read back from its printed token as itself
     if isinstance(label, bool) or not isinstance(label, (int, str)):
         raise ValueError(f"leaf labels must be int or str, got {label!r}")
-    if isinstance(label, str):
-        if not label or any(c in _FORBIDDEN_IN_LABELS or c.isspace() for c in label):
-            raise ValueError(f"string label {label!r} is empty or contains a reserved character")
+    if isinstance(label, int):
+        if label < 0:
+            raise ValueError(f"int label {label!r} would read back as the str {str(label)!r}")
+        return
+    if not label or any(c in _FORBIDDEN_IN_LABELS or c.isspace() for c in label):
+        raise ValueError(f"string label {label!r} is empty or contains a reserved character")
+    if label_from_token(label) != label:
+        raise ValueError(f"str label {label!r} would read back as the int {int(label)}")
 
 
 class RootedBinaryTree:

@@ -54,8 +54,9 @@ def naive_crossing_number(t: Tanglegram) -> int:
     return best
 
 
-def brute_contains(entries: tuple[int, ...], pattern: tuple[int, ...]):
-    """First (lexicographically) index set order-isomorphic to the pattern."""
+def brute_pattern(entries: tuple[int, ...], pattern: tuple[int, ...]):
+    """First position set in ``itertools.combinations`` order (the
+    lexicographically least one) whose restriction is the pattern, or None."""
     from itertools import combinations
 
     m = len(pattern)
@@ -64,6 +65,16 @@ def brute_contains(entries: tuple[int, ...], pattern: tuple[int, ...]):
         vals = [entries[k] for k in combo]
         if all(vals[rank[a]] < vals[rank[a + 1]] for a in range(m - 1)):
             return tuple(k + 1 for k in combo)
+    return None
+
+
+def sweep_planar_left_order(t: Tanglegram):
+    """Left order of the first zero-crossing layout met by a sweep over
+    left swap masks in increasing order, or None when there is none."""
+    for mask in range(1 << t.left.internal_count):
+        order = t.left.leaf_order(mask)
+        if t.right.order_consistent(tuple(t.right_partner(lab) for lab in order)):
+            return order
     return None
 
 

@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
-from tanglekit import cli
+import tanglekit
+from tanglekit import cli, rho
 from tanglekit.cli import main
 
 from conftest import svg_leaf_order
@@ -103,6 +108,20 @@ class TestPlanar:
     def test_missing_file(self, capsys):
         assert main(["planar", "/no/such/file.tg"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_large_planar_catergram(self, tmp_path, capsys):
+        # 200 leaves: C(200,4) subsets are far too many to scan
+        p = tmp_path / "rho94.tg"
+        p.write_text(f"catergram {rho(94)}\n")
+        assert main(["planar", str(p)]) == 0
+        assert capsys.readouterr().out == "true\n"
+
+    def test_large_catergram_with_a_planted_obstruction(self, tmp_path, capsys):
+        p = tmp_path / "planted.tg"
+        entries = [3, 2, 1, 4] + list(range(5, 1001))
+        p.write_text("catergram (" + ",".join(map(str, entries)) + ")\n")
+        assert main(["planar", str(p)]) == 1
+        assert capsys.readouterr().out == "false\n"
 
 
 class TestCrossingNumber:
@@ -221,6 +240,37 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "tanglekit" in capsys.readouterr().out
+
+
+class TestSharedParser:
+    """``main`` reuses one parser; no call may leave a trace on the next."""
+
+    ARGVS = (["gen", "rho"], ["gen", "pi", "2"], ["--help"], ["pattern", "--pi", "(1,2)"],
+             ["gen", "rho", "1"], ["verify", "--help"])
+
+    def test_calls_match_a_fresh_interpreter(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ, PYTHONPATH=str(Path(tanglekit.__file__).parent.parent))
+        for argv in self.ARGVS:
+            code = main(argv)
+            got = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-c", "import sys; from tanglekit.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", *argv],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+    def test_repeated_request_repeats_its_output(self, capsys):
+        argv = ["verify", "antichain", "--max", "3", "--adjacent-only", "--format", "jsonl"]
+        outputs = []
+        for _ in range(3):
+            assert main(argv) == 0
+            lines = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+            for rec in lines:
+                rec.pop("elapsed", None)
+            outputs.append(lines)
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 # Inputs and the sha256 of the stdout each command printed before the tree

@@ -1,7 +1,9 @@
 """Inputs far deeper than Python's default recursion limit.
 
 A caterpillar is as deep as it has leaves, so every tree walk here runs
-on 2500-leaf trees at the default limit of 1000 frames.
+on 2500-leaf trees at the default limit of 1000 frames. The pattern
+search and the catergram layout search are as deep as their inputs are
+long, and run here on inputs of 1000 to 2500 entries.
 """
 
 import sys
@@ -15,6 +17,7 @@ from tanglekit import (
     canonical_form,
     catergram,
     caterpillar,
+    contains_pattern,
     rho,
     rho_layout,
     tilde,
@@ -91,3 +94,27 @@ def test_cli_induced_into_a_deep_catergram(tmp_path, capsys):
     sup.write_text("catergram (" + ",".join(map(str, range(N, 0, -1))) + ")\n")
     assert main(["induced", str(sub), str(sup)]) == 0
     assert capsys.readouterr().out == "true\n"
+
+
+def test_pattern_search_deeper_than_the_recursion_limit():
+    pi = Permutation.identity(N)
+    assert contains_pattern(pi, Permutation.identity(2000)) == tuple(range(1, 2001))
+
+
+def _catergram_file(path, entries):
+    path.write_text("catergram (" + ",".join(map(str, entries)) + ")\n")
+    return str(path)
+
+
+def test_cli_induced_catergram_into_a_larger_catergram(tmp_path, capsys):
+    sub = _catergram_file(tmp_path / "sub.tg", range(1200, 0, -1))
+    sup = _catergram_file(tmp_path / "sup.tg", range(1300, 0, -1))
+    assert main(["induced", sub, sup]) == 0
+    assert capsys.readouterr().out == "true\n"
+
+
+def test_cli_layout_of_a_deep_catergram(tmp_path, capsys):
+    # the catergram of rho(494) has 1000 leaves
+    path = _catergram_file(tmp_path / "rho.tg", rho(494))
+    assert main(["layout", path]) == 0
+    assert capsys.readouterr().out.endswith("crossings: 0\n")

@@ -1,5 +1,7 @@
 """Layouts, crossing counts, planarity deciders, and crossing-free drawings."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -31,6 +33,7 @@ from conftest import (
     pair_scan_crossings,
     pair_scan_inversions,
     permutation_entries,
+    sweep_planar_left_order,
     tanglegrams,
 )
 
@@ -218,6 +221,14 @@ class TestPlanarLayout:
             assert lay is not None and count_crossings(lay) == 0
         else:
             assert lay is None
+
+    def test_catergram_route_finds_the_sweeps_first_layout(self):
+        for n in range(2, 8):
+            for entries in permutations(range(1, n + 1)):
+                t = catergram(Permutation(entries))
+                lay = planar_layout(t)
+                got = None if lay is None else lay.left_order
+                assert got == sweep_planar_left_order(t), entries
 
 
 class TestRhoLayout:

@@ -1,5 +1,7 @@
 """Permutations: parsing, restriction, pattern search, bar operations."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,7 +22,7 @@ from tanglekit import (
     upside_down,
 )
 
-from conftest import brute_contains, permutation_entries
+from conftest import brute_pattern, permutation_entries
 
 
 class TestPermutation:
@@ -37,7 +39,9 @@ class TestPermutation:
         with pytest.raises(ValueError):
             p(3)
 
-    @pytest.mark.parametrize("bad", [(), (0, 1), (1, 3), (2, 2), (1, 2, 4)])
+    @pytest.mark.parametrize(
+        "bad", [(), (0, 1), (1, 3), (2, 2), (1, 2, 4), (1, 1, 3), (0, 1, 2), (2, 3, 4)]
+    )
     def test_rejects_non_bijections(self, bad):
         with pytest.raises(ValueError):
             Permutation(bad)
@@ -162,8 +166,20 @@ class TestContainsPattern:
     @given(permutation_entries(2, 7), permutation_entries(2, 4))
     def test_matches_brute_force(self, host, pattern):
         got = contains_pattern(Permutation(host), Permutation(pattern))
-        want = brute_contains(host, pattern)
+        want = brute_pattern(host, pattern)
         assert got == want
+
+    def test_matches_brute_force_on_seeded_cases(self):
+        # pattern lengths run from 1 past the text length, so m = n and
+        # m > n come up as well
+        rng = random.Random(20)
+        for _ in range(1500):
+            n = rng.randint(1, 9)
+            m = rng.randint(1, n + 1)
+            host = tuple(rng.sample(range(1, n + 1), n))
+            pattern = tuple(rng.sample(range(1, m + 1), m))
+            got = contains_pattern(Permutation(host), Permutation(pattern))
+            assert got == brute_pattern(host, pattern), (host, pattern)
 
     def test_deadline_already_passed(self):
         # a fruitless search over a long host accumulates enough steps

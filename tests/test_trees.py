@@ -179,6 +179,18 @@ def test_rejects_bool_labels():
         RootedBinaryTree.from_nested((True, 2))
 
 
+@pytest.mark.parametrize("label", ["12", -1, "0"])
+def test_rejects_labels_whose_token_reads_back_differently(label):
+    # "12" and "0" would print as int tokens, -1 reads back as the str "-1"
+    with pytest.raises(ValueError, match="would read back"):
+        RootedBinaryTree.from_nested((label, "a"))
+
+
+def test_accepts_labels_whose_token_reads_back_the_same():
+    t = RootedBinaryTree.from_nested((("007", "\u0663"), (0, 12)))
+    assert RootedBinaryTree.from_newick(t.to_newick()) == t
+
+
 @given(tree_shapes(5))
 def test_roundtrip_arbitrary_shapes(shape):
     t = RootedBinaryTree.from_nested(_label_shape(shape, "abcde"))
