@@ -26,6 +26,7 @@ from .render import to_svg, to_text, to_tikz
 from .tanglegram import (
     Tanglegram,
     enumerate_tanglegrams,
+    is_catergram,
     is_induced_sub,
     parse_tanglegram,
 )
@@ -179,7 +180,10 @@ def _cmd_crossing_number(args) -> int:
 
 def _cmd_layout(args) -> int:
     t = _read_tanglegram(args.file)
-    lay = planar_layout(t, cap=args.cap)
+    # Only catergrams have a planar search of their own; elsewhere
+    # planar_layout returns the sweep's first zero-crossing layout, which
+    # min_crossing_layout returns too.
+    lay = planar_layout(t) if is_catergram(t) else None
     if lay is None:
         lay, _ = min_crossing_layout(t, cap=args.cap)
     if args.emit == "svg":

@@ -12,6 +12,12 @@ two independent deciders: an oracle that minimizes crossings over all
 embedding pairs, and an excluded-pattern test that looks for either of
 two size-4 obstructions as an induced subtanglegram. For catergrams the
 obstruction test collapses to four forbidden permutation patterns.
+
+The exhaustive sweep behind the crossing number, the oracle and the
+non-catergram layouts visits all 2^(n-1) left embeddings. It pays
+O(n^2) once per tanglegram to tabulate, for each left swap bit, how
+flipping it changes the crossing count at each right vertex; each
+further left mask then costs amortized O(right vertices it touches).
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import BudgetExceededError, InvalidLayoutError
-from .perm import Permutation, bar_members, contains_pattern, is_cater_good, rho
+from .perm import Permutation, bar_members, contains_pattern, rho
 from .tanglegram import (
     Tanglegram,
     _distance_positions,
@@ -110,34 +116,6 @@ def count_inversions(seq: Sequence[int]) -> int:
 # ----------------------------------------------------------------------
 # minimum crossings
 
-def _min_right(
-    t: Tanglegram, left_pos: dict[Label, int], build_order: bool
-) -> tuple[int, tuple[Label, ...] | None]:
-    """Fewest crossings over right-tree embeddings, for a fixed left order.
-
-    The embedding choice at each right internal vertex is independent:
-    a pair of edges ending in different child subtrees crosses or not
-    depending only on that vertex's orientation. Ties keep the stored
-    order, so the reported order is the one with the smallest swap mask.
-    """
-    partner = t.left_partner
-
-    def leaf(lab: Label) -> tuple[list[int], int, list[Label] | None]:
-        return [left_pos[partner(lab)]], 0, ([lab] if build_order else None)
-
-    def node(v: int, a: tuple, b: tuple) -> tuple[list[int], int, list[Label] | None]:
-        # pairs (x in A, y in B) with x > y cross when A sits below B
-        merged, cross = _merge_count(a[0], b[0])
-        flipped = len(a[0]) * len(b[0]) - cross
-        if flipped < cross:
-            a, b, cross = b, a, flipped
-        order = a[2] + b[2] if build_order else None
-        return merged, a[1] + b[1] + cross, order
-
-    _, cost, order = t.right.fold(leaf, node)
-    return cost, (tuple(order) if order is not None else None)
-
-
 def _check_cap(t: Tanglegram, cap: int, what: str) -> None:
     if t.size > cap:
         raise BudgetExceededError(
@@ -147,28 +125,84 @@ def _check_cap(t: Tanglegram, cap: int, what: str) -> None:
         )
 
 
-def _sweep(t: Tanglegram, build_order: bool) -> tuple[int, tuple[Label, ...], tuple | None]:
-    """Fewest crossings with the left order and, if asked, the right order.
+def _sweep(t: Tanglegram) -> tuple[int, int, int]:
+    """Fewest crossings, the smallest left swap mask that reaches it, and
+    the right swap mask that goes with it.
 
-    Left masks are scanned in increasing order, only a strictly better
-    count replaces the incumbent, and a zero count ends the sweep.
+    For a fixed left order the right vertices are independent: two
+    matching edges whose right ends split at w cross or not by w's
+    orientation alone. With c_w such crossings while w is as stored,
+    the right side's best is the sum of min(c_w, |A_w||B_w| - c_w), and
+    w flips only when that strictly helps, so ties keep stored orders.
+    Two edges whose left ends split at u trade places exactly when u
+    flips, so each c_w is its value at mask 0 plus one fixed delta per
+    set left bit. Left masks go in increasing order; the step into a
+    mask depends only on its lowest set bit, so each step applies one
+    precomputed list of changes to the c_w it touches. Only a strictly
+    better count replaces the incumbent, and a zero count ends the sweep.
     """
-    best = None
-    for mask in range(1 << t.left.internal_count):
-        order = t.left.leaf_order(mask)
-        cost, rorder = _min_right(t, {lab: k for k, lab in enumerate(order)}, build_order)
-        if best is None or cost < best[0]:
-            best = (cost, order, rorder)
-            if cost == 0:
+    left, right = t.left, t.right
+    # split_at[i][j]: right bit where right leaves i < j (stored order) split
+    split_at = [[0] * t.size for _ in range(t.size)]
+    pairs = [0] * right.internal_count  # |A_w||B_w|
+    for w, lo, mid, hi in right.splits():
+        pairs[w] = (mid - lo) * (hi - mid)
+        for i in range(lo, mid):
+            split_at[i][mid:hi] = [w] * (hi - mid)
+    rpos = {lab: k for k, lab in enumerate(right.leaves)}
+    at = [rpos[t.right_partner(lab)] for lab in left.leaves]
+
+    # left leaves p < q split at u, so p comes first while u is as stored;
+    # flip[u][w] is what setting u's bit adds to c_w
+    cross = [0] * right.internal_count
+    flip: list[dict[int, int]] = []
+    for _, lo, mid, hi in left.splits():
+        delta: dict[int, int] = {}
+        for p in range(lo, mid):
+            i = at[p]
+            for q in range(mid, hi):
+                j = at[q]
+                if i < j:
+                    w = split_at[i][j]
+                    delta[w] = delta.get(w, 0) + 1
+                else:
+                    w = split_at[j][i]
+                    cross[w] += 1
+                    delta[w] = delta.get(w, 0) - 1
+        flip.append(delta)
+    # the step into a mask sets its lowest set bit and clears every bit below
+    steps: list[list[tuple[int, int]]] = []
+    below = [0] * right.internal_count  # what the bits below this one add
+    for delta in flip:
+        step = [-d for d in below]
+        for w, d in delta.items():
+            step[w] += d
+            below[w] += d
+        steps.append([(w, d) for w, d in enumerate(step) if d])
+
+    total = sum(c if c + c <= s else s - c for c, s in zip(cross, pairs))
+    best, best_mask, best_cross = total, 0, cross[:]
+    for mask in range(1, 1 << left.internal_count) if best else ():
+        for w, d in steps[(mask & -mask).bit_length() - 1]:
+            c, s = cross[w], pairs[w]
+            cross[w] = new = c + d
+            total += (new if new + new <= s else s - new) - (c if c + c <= s else s - c)
+        if total < best:
+            best, best_mask, best_cross = total, mask, cross[:]
+            if not best:
                 break
-    assert best is not None
-    return best
+    right_mask = sum(1 << w for w, (c, s) in enumerate(zip(best_cross, pairs)) if s - c < c)
+    return best, best_mask, right_mask
+
+
+def _sweep_layout(t: Tanglegram, left_mask: int, right_mask: int) -> Layout:
+    return Layout(t, t.left.leaf_order(left_mask), t.right.leaf_order(right_mask))
 
 
 def crossing_number(t: Tanglegram, *, cap: int = DEFAULT_SIZE_CAP) -> int:
     """Minimum crossings over all layouts; exhaustive, guarded by ``cap``."""
     _check_cap(t, cap, "crossing_number")
-    return _sweep(t, build_order=False)[0]
+    return _sweep(t)[0]
 
 
 def min_crossing_layout(t: Tanglegram, *, cap: int = DEFAULT_SIZE_CAP) -> tuple[Layout, int]:
@@ -179,8 +213,8 @@ def min_crossing_layout(t: Tanglegram, *, cap: int = DEFAULT_SIZE_CAP) -> tuple[
     stored orientations.
     """
     _check_cap(t, cap, "min_crossing_layout")
-    cost, left, right = _sweep(t, build_order=True)
-    return Layout(t, left, right), cost
+    cost, left_mask, right_mask = _sweep(t)
+    return _sweep_layout(t, left_mask, right_mask), cost
 
 
 # ----------------------------------------------------------------------
@@ -259,48 +293,68 @@ def _cater_planar_positions(pi: Permutation) -> tuple[int, ...] | None:
     for v in range(1, n + 1):
         max_img_upto[v] = max(max_img_upto[v - 1], vals[v - 1])
 
-    def viable(next_value: int) -> bool:
-        k = len(block)
-        imgs = [vals[x - 1] for x in block]
-        by_img = sorted(range(k), key=lambda idx: -imgs[idx])
-        ranked = sorted(imgs, reverse=True)
+    # The block of placed labels n, n-1, ... lies on the coordinates
+    # ends[0]..ends[1], label n at 0: a label joining the low end takes
+    # the coordinate below it, one joining the high end the one above.
+    # at[img] is the coordinate of the placed label with that image.
+    at: list[int | None] = [None] * (n + 1)
+    at[vals[n - 1]] = 0
+    ends = [0, 0]
+
+    def viable(placed: int, next_value: int) -> bool:
+        # one pass over the placed images in descending order
         max_future = max_img_upto[next_value]
-        lo = hi = by_img[0]
-        for t in range(k):
-            lo = min(lo, by_img[t])
-            hi = max(hi, by_img[t])
-            if hi - lo != t:
-                return False  # a top block of images already has a gap
-            below = ranked[t + 1] if t + 1 < k else 0
-            if max_future > below and lo != 0 and hi != k - 1:
-                return False  # more large images must attach, but the block is walled in
+        low, high = ends
+        seen = 0
+        for img in range(n, 0, -1):
+            c = at[img]
+            if c is None:
+                continue
+            if not seen:
+                lo = hi = c
+            else:
+                if max_future > img and lo != low and hi != high:
+                    return False  # more large images must attach, but the block is walled in
+                if c == lo - 1:
+                    lo = c
+                elif c == hi + 1:
+                    hi = c
+                else:
+                    return False  # a top block of images has a gap
+            seen += 1
+            if seen == placed:
+                break
         return True
 
     # Depth-first over the end each label joins, with an explicit stack:
     # ``sides`` holds the end (0 low, 1 high) that labels n-1, n-2, ...
     # joined, and ``side`` is the next end to try for the label after them.
-    block: list[int] = [n]
     sides: list[int] = []
     side = 0
     while True:
         v = n - 1 - len(sides)
         if v == 0:
-            if is_cater_good([vals[x - 1] for x in block]):
-                return tuple(block)
-        elif side < 2:
-            block.insert(len(block) if side else 0, v)
-            if viable(v - 1):
-                sides.append(side)
+            # The last check passed every top block of all n images, so
+            # the images, like the labels, are in a caterpillar order.
+            imgs = [0] * n
+            for img in range(1, n + 1):
+                imgs[at[img] - ends[0]] = img  # type: ignore[operator]
+            label_of = pi.inverse().entries
+            return tuple(label_of[img - 1] for img in imgs)
+        if side < 2:
+            ends[side] += 1 if side else -1
+            at[vals[v - 1]] = ends[side]
+            sides.append(side)
+            if viable(n - v + 1, v - 1):
                 side = 0
-            else:
-                block.pop(-1 if side else 0)
-                side += 1
-            continue
-        # both ends are spent at this depth: step back
+                continue
+            # a dead end: undone below like any exhausted depth
+        # step back: take the last label out and try its other end
         if not sides:
             return None
         side = sides.pop()
-        block.pop(-1 if side else 0)
+        at[vals[n - 2 - len(sides)]] = None
+        ends[side] -= 1 if side else -1
         side += 1
 
 
@@ -308,10 +362,9 @@ def planar_layout(t: Tanglegram, *, cap: int = DEFAULT_SIZE_CAP) -> Layout | Non
     """A zero-crossing layout, or None if the tanglegram is not planar.
 
     Catergrams use the contiguity search above, which needs no size cap.
-    Other tanglegrams sweep left embeddings in increasing swap-mask
-    order under ``cap``; a zero-crossing layout forces the right order
-    to list the partners in left order, so each left order needs one
-    consistency check only.
+    Other tanglegrams take the crossing sweep's first zero-crossing
+    layout, under ``cap``: the first left swap mask whose partner
+    sequence is a right leaf order, and that sequence.
     """
     if is_catergram(t):
         pi = catergram_permutation(t)
@@ -323,12 +376,8 @@ def planar_layout(t: Tanglegram, *, cap: int = DEFAULT_SIZE_CAP) -> Layout | Non
         right_order = tuple(t.right_partner(lab) for lab in left_order)
         return Layout(t, left_order, right_order)
     _check_cap(t, cap, "planar_layout")
-    for mask in range(1 << t.left.internal_count):
-        order = t.left.leaf_order(mask)
-        partner_seq = tuple(t.right_partner(lab) for lab in order)
-        if t.right.order_consistent(partner_seq):
-            return Layout(t, order, partner_seq)
-    return None
+    cost, left_mask, right_mask = _sweep(t)
+    return None if cost else _sweep_layout(t, left_mask, right_mask)
 
 
 def rho_layout(i: int) -> Layout:

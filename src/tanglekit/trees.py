@@ -385,6 +385,26 @@ class RootedBinaryTree:
         for mask in range(1 << self.internal_count):
             yield self.leaf_order(mask)
 
+    @property
+    def leaves(self) -> tuple[Label, ...]:
+        """Leaf labels in stored order (swap mask 0), the sequence that
+        the intervals of :meth:`splits` index."""
+        return self._leaves
+
+    def splits(self) -> Iterator[tuple[int, int, int, int]]:
+        """``(bit, lo, mid, hi)`` per internal vertex, in preorder: its
+        swap-mask bit and the stored-order leaf intervals ``[lo, mid)``
+        and ``[mid, hi)`` below its first and second child.
+
+        Two leaves have their lowest common ancestor at the one vertex
+        whose two intervals separate them.
+        """
+        kids, bit, lo, hi = self._kids, self._internal_bit, self._lo, self._hi
+        for v in self._pre:
+            pair = kids[v]
+            if pair is not None:
+                yield bit[v], lo[v], hi[pair[0]], hi[v]
+
     # ------------------------------------------------------------------
     # induced subtree
 

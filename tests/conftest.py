@@ -14,7 +14,9 @@ from tanglekit import (
     Tanglegram,
     bar_set,
     crossing_number,
+    enumerate_tanglegrams,
     excluded_tanglegrams,
+    is_cater_good,
     layout_permutation,
 )
 
@@ -54,6 +56,38 @@ def naive_crossing_number(t: Tanglegram) -> int:
     return best
 
 
+def per_mask_sweep(t: Tanglegram):
+    """Fewest crossings with the first left order that reaches it and its
+    right order, one left swap mask at a time in increasing order.
+
+    For each left order the right tree is folded bottom-up: at every
+    vertex the crossing pairs between its two children are counted, and
+    the children swap only when that strictly lowers the count. Only a
+    strictly better count replaces the incumbent; zero ends the sweep.
+    """
+    best = None
+    for mask in range(1 << t.left.internal_count):
+        order = t.left.leaf_order(mask)
+        pos = {lab: k for k, lab in enumerate(order)}
+
+        def leaf(lab):
+            return [pos[t.left_partner(lab)]], 0, [lab]
+
+        def node(v, a, b):
+            cross = sum(1 for x in a[0] for y in b[0] if x > y)
+            flipped = len(a[0]) * len(b[0]) - cross
+            if flipped < cross:
+                a, b, cross = b, a, flipped
+            return a[0] + b[0], a[1] + b[1] + cross, a[2] + b[2]
+
+        _, cost, rorder = t.right.fold(leaf, node)
+        if best is None or cost < best[0]:
+            best = (cost, order, tuple(rorder))
+            if cost == 0:
+                break
+    return best
+
+
 def brute_pattern(entries: tuple[int, ...], pattern: tuple[int, ...]):
     """First position set in ``itertools.combinations`` order (the
     lexicographically least one) whose restriction is the pattern, or None."""
@@ -76,6 +110,57 @@ def sweep_planar_left_order(t: Tanglegram):
         if t.right.order_consistent(tuple(t.right_partner(lab) for lab in order)):
             return order
     return None
+
+
+def sorting_cater_search(pi: Permutation):
+    """The catergram planar search as first written: it re-sorts the whole
+    block by image for every label it places. The library's search must
+    return the same first hit."""
+    n = len(pi)
+    vals = pi.entries
+    max_img_upto = [0] * (n + 1)
+    for v in range(1, n + 1):
+        max_img_upto[v] = max(max_img_upto[v - 1], vals[v - 1])
+
+    def viable(next_value: int) -> bool:
+        k = len(block)
+        imgs = [vals[x - 1] for x in block]
+        by_img = sorted(range(k), key=lambda idx: -imgs[idx])
+        ranked = sorted(imgs, reverse=True)
+        max_future = max_img_upto[next_value]
+        lo = hi = by_img[0]
+        for t in range(k):
+            lo = min(lo, by_img[t])
+            hi = max(hi, by_img[t])
+            if hi - lo != t:
+                return False
+            below = ranked[t + 1] if t + 1 < k else 0
+            if max_future > below and lo != 0 and hi != k - 1:
+                return False
+        return True
+
+    block: list[int] = [n]
+    sides: list[int] = []
+    side = 0
+    while True:
+        v = n - 1 - len(sides)
+        if v == 0:
+            if is_cater_good([vals[x - 1] for x in block]):
+                return tuple(block)
+        elif side < 2:
+            block.insert(len(block) if side else 0, v)
+            if viable(v - 1):
+                sides.append(side)
+                side = 0
+            else:
+                block.pop(-1 if side else 0)
+                side += 1
+            continue
+        if not sides:
+            return None
+        side = sides.pop()
+        block.pop(-1 if side else 0)
+        side += 1
 
 
 def _orient(ax, ay, bx, by, cx, cy) -> int:
@@ -178,6 +263,37 @@ def layouts(draw, min_size: int = 2, max_size: int = 7):
     lmask = draw(st.integers(0, 2 ** t.left.internal_count - 1))
     rmask = draw(st.integers(0, 2 ** t.right.internal_count - 1))
     return Layout(t, t.left.leaf_order(lmask), t.right.leaf_order(rmask))
+
+
+def random_nested(rng, labels):
+    """A random tree shape over ``labels`` (in order), each vertex's
+    children swapped with probability 1/2."""
+    if len(labels) == 1:
+        return labels[0]
+    k = rng.randint(1, len(labels) - 1)
+    a, b = random_nested(rng, labels[:k]), random_nested(rng, labels[k:])
+    return (a, b) if rng.random() < 0.5 else (b, a)
+
+
+def random_tanglegram(rng, n: int, planar: bool = False) -> Tanglegram:
+    """A seeded random tanglegram of size n. With ``planar`` the right
+    tree is grown over the left leaves in the order of a random left
+    embedding, so that some layout has no crossings."""
+    left = RootedBinaryTree.from_nested(random_nested(rng, list(range(1, n + 1))))
+    if planar:
+        order = list(left.leaf_order(rng.randrange(1 << left.internal_count)))
+    else:
+        order = rng.sample(range(1, n + 1), n)
+    right = RootedBinaryTree.from_nested(random_nested(rng, [f"r{lab}" for lab in order]))
+    return Tanglegram(left, right, {lab: f"r{lab}" for lab in order})
+
+
+# ------------------------------------------------------------- fixtures
+
+@pytest.fixture(scope="session")
+def small_tanglegrams():
+    """Every tanglegram of sizes 1 to 5, by size."""
+    return {n: enumerate_tanglegrams(n) for n in range(1, 6)}
 
 
 # ------------------------------------------------- suite-wide self checks

@@ -211,6 +211,17 @@ class TestCensus:
             "crossings 1: 2",
         ]
 
+    def test_size_five_histogram(self, capsys):
+        # 114 is the closed-form count; every one of them is swept
+        assert main(["census", "--size", "5"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines == [
+            "size 5: 114 tanglegrams",
+            "crossings 0: 76",
+            "crossings 1: 36",
+            "crossings 2: 2",
+        ]
+
     def test_default_cap_guards_enumeration(self, capsys):
         assert main(["census", "--size", "6"]) == 3
         assert "budget exceeded" in capsys.readouterr().err

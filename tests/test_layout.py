@@ -1,5 +1,6 @@
 """Layouts, crossing counts, planarity deciders, and crossing-free drawings."""
 
+import random
 from itertools import permutations
 
 import pytest
@@ -17,6 +18,7 @@ from tanglekit import (
     count_inversions,
     crossing_number,
     excluded_tanglegrams,
+    is_catergram,
     is_planar,
     is_planar_catergram,
     layout_permutation,
@@ -32,7 +34,10 @@ from conftest import (
     naive_crossing_number,
     pair_scan_crossings,
     pair_scan_inversions,
+    per_mask_sweep,
     permutation_entries,
+    random_tanglegram,
+    sorting_cater_search,
     sweep_planar_left_order,
     tanglegrams,
 )
@@ -135,6 +140,27 @@ class TestCrossingNumber:
         assert lay.right_order == (1, 2, 3)
 
 
+class TestIncrementalSweep:
+    """crossing_number and min_crossing_layout against the per-mask
+    sweep in conftest: same count, same left order, same right order."""
+
+    @staticmethod
+    def check(t):
+        lay, cost = min_crossing_layout(t)
+        assert (cost, lay.left_order, lay.right_order) == per_mask_sweep(t), t
+        assert crossing_number(t) == cost
+
+    def test_every_tanglegram_up_to_size_five(self, small_tanglegrams):
+        for reps in small_tanglegrams.values():
+            for t in reps:
+                self.check(t)
+
+    def test_seeded_random_up_to_size_ten(self):
+        rng = random.Random(4)
+        for k in range(2000):
+            self.check(random_tanglegram(rng, rng.randint(1, 10), planar=k % 4 == 0))
+
+
 class TestPlanarity:
     def test_rejects_unknown_method(self):
         t = catergram(Permutation((2, 1)))
@@ -221,6 +247,40 @@ class TestPlanarLayout:
             assert lay is not None and count_crossings(lay) == 0
         else:
             assert lay is None
+
+    def test_generic_route_finds_the_sweeps_first_layout(self):
+        rng = random.Random(5)
+        for k in range(400):
+            t = random_tanglegram(rng, rng.randint(4, 9), planar=k % 2 == 0)
+            if is_catergram(t):
+                continue
+            lay = planar_layout(t)
+            want = sweep_planar_left_order(t)
+            if want is None:
+                assert lay is None
+            else:
+                assert lay.left_order == want
+                assert lay.right_order == tuple(t.right_partner(lab) for lab in want)
+
+    def test_catergram_search_matches_the_sorting_search(self):
+        rng = random.Random(6)
+        for k in range(1000):
+            n = rng.randint(2, 40)
+            if k % 2:
+                entries = rng.sample(range(1, n + 1), n)
+            else:
+                # a planar catergram: left order and images both grow from
+                # the top, each next one at a random end
+                order, imgs = [n], [n]
+                for v in range(n - 1, 0, -1):
+                    order.insert(len(order) if rng.random() < 0.5 else 0, v)
+                    imgs.insert(len(imgs) if rng.random() < 0.5 else 0, v)
+                image_of = dict(zip(order, imgs))
+                entries = [image_of[v] for v in range(1, n + 1)]
+            pi = Permutation(entries)
+            lay = planar_layout(catergram(pi))
+            got = None if lay is None else lay.left_order
+            assert got == sorting_cater_search(pi), entries
 
     def test_catergram_route_finds_the_sweeps_first_layout(self):
         for n in range(2, 8):

@@ -1,5 +1,9 @@
 """Tanglegrams: construction, invariants, equality, induction, text form."""
 
+from collections import Counter
+from fractions import Fraction
+from math import factorial
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -295,11 +299,46 @@ class TestTextForm:
         assert equal(parse_tanglegram(format_tanglegram(t)), t)
 
 
+def binary_partitions(n: int, largest: int | None = None):
+    """Partitions of n into powers of two, parts in non-increasing order."""
+    if n == 0:
+        yield ()
+        return
+    part = 1 << (n.bit_length() - 1) if largest is None else largest
+    while part:
+        if part <= n:
+            for rest in binary_partitions(n - part, part):
+                yield (part,) + rest
+        part >>= 1
+
+
+def tanglegram_count(n: int) -> int:
+    """Billey, Konvalinka and Matsen (JCTA 2017), Theorem 1: the sum over
+    binary partitions lambda of n of
+    prod_{i=2..l} (2 (lambda_i + ... + lambda_l) - 1)^2 / z_lambda."""
+    total = Fraction(0)
+    for lam in binary_partitions(n):
+        num = 1
+        for i in range(1, len(lam)):
+            num *= (2 * sum(lam[i:]) - 1) ** 2
+        z = 1
+        for part, mult in Counter(lam).items():
+            z *= part**mult * factorial(mult)
+        total += Fraction(num, z)
+    assert total.denominator == 1
+    return int(total)
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 2), (4, 13)])
     def test_counts(self, n, count):
         reps = enumerate_tanglegrams(n)
         assert len(reps) == count
+
+    def test_counts_match_the_closed_form(self, small_tanglegrams):
+        assert [tanglegram_count(n) for n in range(1, 8)] == [1, 1, 2, 13, 114, 1509, 25595]
+        for n, reps in small_tanglegrams.items():
+            assert len(reps) == tanglegram_count(n)
 
     def test_representatives_are_pairwise_unequal(self):
         reps = enumerate_tanglegrams(4)
