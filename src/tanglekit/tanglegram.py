@@ -163,10 +163,11 @@ def distance_pairs(t: Tanglegram) -> DistancePairMultiset:
 # ----------------------------------------------------------------------
 # canonical form and equality
 
-def _canonical_leaf_orders(
+def _canonical_embeddings(
     tree: RootedBinaryTree,
-) -> tuple[str, list[tuple[Label, ...]]]:
-    """Shape code and the leaf orders of all embeddings realizing it.
+) -> tuple[str, list[dict[Label, int]]]:
+    """The per-tree half of the canonical form: the shape code, and per
+    embedding realizing it the leaf positions, 1-based, in leaf order.
 
     An asymmetric vertex is forced to put its smaller child code first;
     a symmetric one is free. The forced swaps form one swap mask, and
@@ -189,22 +190,28 @@ def _canonical_leaf_orders(
     masks = [forced]
     for flip in free:
         masks += [m | flip for m in masks]
-    return root_code, [tree._read_leaves(m) for m in masks]
+    return root_code, [
+        {lab: k for k, lab in enumerate(tree._read_leaves(m), start=1)} for m in masks
+    ]
+
+
+def _least_signature(
+    lefts: list[dict[Label, int]],
+    rights: list[dict[Label, int]],
+    partner: Mapping[Label, Label],
+) -> tuple[int, ...]:
+    """The matching half: the least sequence of partner positions over
+    all pairs of canonical embeddings, reading the left side in order."""
+    return min(
+        tuple([rpos[partner[lab]] for lab in lpos]) for rpos in rights for lpos in lefts
+    )
 
 
 def canonical_form(t: Tanglegram) -> tuple[str, str, tuple[int, ...]]:
     """Representation-independent fingerprint deciding tanglegram equality."""
-    shape_l, lords = _canonical_leaf_orders(t.left)
-    shape_r, rords = _canonical_leaf_orders(t.right)
-    best: tuple[int, ...] | None = None
-    for rorder in rords:
-        rpos = {lab: k for k, lab in enumerate(rorder, start=1)}
-        for lorder in lords:
-            sig = tuple(rpos[t.right_partner(lab)] for lab in lorder)
-            if best is None or sig < best:
-                best = sig
-    assert best is not None
-    return shape_l, shape_r, best
+    shape_l, lefts = _canonical_embeddings(t.left)
+    shape_r, rights = _canonical_embeddings(t.right)
+    return shape_l, shape_r, _least_signature(lefts, rights, t._fwd)
 
 
 def equal(a: Tanglegram, b: Tanglegram) -> bool:
@@ -248,8 +255,11 @@ def is_induced_sub(sub: Tanglegram, sup: Tanglegram) -> bool:
     When both inputs are catergrams this reduces to permutation pattern
     containment: the small one's defining permutation, or any member of
     its bar set, must be a pattern of the big one's. Otherwise the edge
-    subsets of the right size are scanned smallest-first, with the
-    distance-pair multiset as a cheap filter before full comparison.
+    subsets of the right size are scanned smallest-first on leaf
+    positions (see :func:`_has_induced_copy`): a subset costs O(m^2)
+    steps plus minima over at most n-1 LCA gaps, and only one that
+    passes the distance-pair filter with a shape not seen before in the
+    scan builds trees.
     """
     m, n = sub.size, sup.size
     if m > n:
@@ -261,6 +271,64 @@ def is_induced_sub(sub: Tanglegram, sup: Tanglegram) -> bool:
     return _has_induced_copy(sup, [(distance_pairs(sub), canonical_form(sub))])
 
 
+def _induced_depths(bits: Sequence[int]) -> list[int]:
+    """Depth of each of m chosen leaves in the tree they induce, from the
+    m-1 LCA bits of adjacent chosen leaves (stored order).
+
+    The ancestors of leaf k are its LCAs with the other chosen leaves:
+    reading the bits away from k on either side, each new running minimum
+    is one more ancestor. A stack of the running minima counts them in
+    one pass per side.
+    """
+    depths = [0] * (len(bits) + 1)
+    for order, at in ((range(len(bits)), 1), (range(len(bits) - 1, -1, -1), 0)):
+        stack: list[int] = []
+        for g in order:
+            b = bits[g]
+            while stack and stack[-1] > b:
+                stack.pop()
+            stack.append(b)
+            depths[g + at] += len(stack)
+    return depths
+
+
+def _subset_profiles(sup: Tanglegram, m: int):
+    """Per m-edge subset of ``sup``, in combinations order of its edges:
+    the subset's edges, the sorted distance pairs of the tanglegram it
+    induces, and a key that fixes that tanglegram up to isomorphism.
+
+    The key is the rank pattern of the LCA bits of adjacent chosen left
+    leaves (stored order), which fixes the induced left tree with its
+    leaves in stored order, the same for the right, and the matching as
+    ranks: for the k-th chosen left leaf, its partner's rank among the
+    chosen right leaves. Depths depend on the patterns alone, so they
+    are derived once per pattern.
+    """
+    lgaps, rgaps = sup.left.lca_gaps(), sup.right.lca_gaps()
+    lpos = {lab: k for k, lab in enumerate(sup.left.leaves)}
+    rpos = {lab: k for k, lab in enumerate(sup.right.leaves)}
+    # left positions are distinct, so the edges never get compared
+    ends = [(lpos[l], rpos[r], (l, r)) for l, r in sup.edges]
+    depths_of: dict[tuple[int, ...], list[int]] = {}
+    gaps_between = range(m - 1)
+    for subset in combinations(ends, m):
+        chosen = sorted(subset)
+        rs = sorted([q for _, q, _ in chosen])
+        lbits = [min(lgaps[a:b]) for (a, _, _), (b, _, _) in zip(chosen, chosen[1:])]
+        rbits = [min(rgaps[a:b]) for a, b in zip(rs, rs[1:])]
+        lpat = tuple(sorted(gaps_between, key=lbits.__getitem__))
+        rpat = tuple(sorted(gaps_between, key=rbits.__getitem__))
+        dl = depths_of.get(lpat)
+        if dl is None:
+            dl = depths_of[lpat] = _induced_depths(lbits)
+        dr = depths_of.get(rpat)
+        if dr is None:
+            dr = depths_of[rpat] = _induced_depths(rbits)
+        match = tuple([rs.index(q) for _, q, _ in chosen])
+        pairs = tuple(sorted([(d, dr[j]) for d, j in zip(dl, match)]))
+        yield [e for _, _, e in subset], pairs, (lpat, rpat, match)
+
+
 def _has_induced_copy(
     sup: Tanglegram,
     targets: Sequence[tuple[DistancePairMultiset, tuple]],
@@ -269,19 +337,26 @@ def _has_induced_copy(
 
     Each target is a ``(distance_pairs, canonical_form)`` pair; all have
     the same size m. The m-edge subsets are scanned in combinations
-    order; the distance-pair multiset filters each candidate, and its
-    canonical form is computed at most once, only when some filter passes.
+    order on leaf positions, building nothing: the LCA gap arrays of the
+    two trees give each subset's distance pairs, which filter it. A
+    subset that passes is looked up in a per-call memo under the key of
+    :func:`_subset_profiles`; only on a miss is the candidate built and
+    its canonical form compared with the targets'.
     """
-    for subset in combinations(sup.edges, len(targets[0][0])):
-        cand = induced_subtanglegram(sup, subset)
-        pairs = distance_pairs(cand)
-        form = None
-        for want_pairs, want_form in targets:
-            if pairs == want_pairs:
-                if form is None:
-                    form = canonical_form(cand)
-                if form == want_form:
-                    return True
+    forms_of: dict[tuple, list[tuple]] = {}
+    for want_pairs, want_form in targets:
+        forms_of.setdefault(want_pairs.pairs, []).append(want_form)
+    memo: dict[tuple, bool] = {}
+    for subset, pairs, key in _subset_profiles(sup, len(targets[0][0])):
+        forms = forms_of.get(pairs)
+        if forms is None:
+            continue
+        found = memo.get(key)
+        if found is None:
+            cand = induced_subtanglegram(sup, subset)
+            memo[key] = found = canonical_form(cand) in forms
+        if found:
+            return True
     return False
 
 
@@ -353,16 +428,18 @@ def enumerate_tanglegrams(n: int) -> list[Tanglegram]:
         raise ValueError("size must be at least 1")
     from itertools import permutations as iter_perms
 
-    trees = []
+    embedded = []
     for shape in _ordered_shapes(n):
         nested, _ = _tree_from_shape(shape)
-        trees.append(RootedBinaryTree.from_nested(nested))
+        tree = RootedBinaryTree.from_nested(nested)
+        embedded.append((tree, *_canonical_embeddings(tree)))
+    labels = range(1, n + 1)
     seen: dict[tuple, Tanglegram] = {}
-    for tl in trees:
-        for tr in trees:
-            for images in iter_perms(range(1, n + 1)):
-                t = Tanglegram(tl, tr, {i: images[i - 1] for i in range(1, n + 1)})
-                form = canonical_form(t)
+    for tl, shape_l, lefts in embedded:
+        for tr, shape_r, rights in embedded:
+            for images in iter_perms(labels):
+                partner = dict(zip(labels, images))
+                form = (shape_l, shape_r, _least_signature(lefts, rights, partner))
                 if form not in seen:
-                    seen[form] = t
+                    seen[form] = Tanglegram(tl, tr, partner)
     return [seen[f] for f in sorted(seen)]

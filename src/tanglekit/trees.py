@@ -405,6 +405,21 @@ class RootedBinaryTree:
             if pair is not None:
                 yield bit[v], lo[v], hi[pair[0]], hi[v]
 
+    def lca_gaps(self) -> tuple[int, ...]:
+        """The LCA primitive: entry g is the swap-mask bit of the lowest
+        common ancestor of stored leaves g and g+1 (see :attr:`leaves`).
+
+        For stored leaves i < j the lowest common ancestor has the bit
+        ``min(gaps[i:j])``: bits number internal vertices in preorder, so
+        an ancestor's bit is smaller than any of its descendants'. Built
+        in O(n) from :meth:`splits`: a vertex owns the gap between the
+        last leaf of its first child and the first of its second.
+        """
+        gaps = [0] * (len(self._leaves) - 1)
+        for b, _, mid, _ in self.splits():
+            gaps[mid - 1] = b
+        return tuple(gaps)
+
     # ------------------------------------------------------------------
     # induced subtree
 

@@ -13,9 +13,12 @@ from tanglekit import (
     RootedBinaryTree,
     Tanglegram,
     bar_set,
+    canonical_form,
     crossing_number,
+    distance_pairs,
     enumerate_tanglegrams,
     excluded_tanglegrams,
+    induced_subtanglegram,
     is_cater_good,
     layout_permutation,
 )
@@ -161,6 +164,45 @@ def sorting_cater_search(pi: Permutation):
         side = sides.pop()
         block.pop(-1 if side else 0)
         side += 1
+
+
+def object_scan_induced_copy(sup: Tanglegram, targets) -> bool:
+    """The induced-copy scan as first written: it builds the tanglegram
+    induced by every m-edge subset, in combinations order, and compares
+    its distance pairs, then its canonical form, with each target's."""
+    from itertools import combinations
+
+    for subset in combinations(sup.edges, len(targets[0][0])):
+        cand = induced_subtanglegram(sup, subset)
+        pairs = distance_pairs(cand)
+        form = None
+        for want_pairs, want_form in targets:
+            if pairs == want_pairs:
+                if form is None:
+                    form = canonical_form(cand)
+                if form == want_form:
+                    return True
+    return False
+
+
+def brute_lca_bit(tree: RootedBinaryTree, a, b) -> int:
+    """Swap-mask bit of the lowest common ancestor of leaves a and b: the
+    deepest vertex whose leaves hold both, numbered among the internal
+    vertices in preorder by a walk over ``children``."""
+    best = None
+    bit = 0
+    todo = [(tree.root, 0)]
+    while todo:
+        v, depth = todo.pop()
+        kids = tree.children(v)
+        if kids is None:
+            continue
+        if {a, b} <= tree.subtree_labels(v) and (best is None or depth > best[0]):
+            best = (depth, bit)
+        bit += 1
+        todo += [(kids[1], depth + 1), (kids[0], depth + 1)]
+    assert best is not None
+    return best[1]
 
 
 def _orient(ax, ay, bx, by, cx, cy) -> int:

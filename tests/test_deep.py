@@ -14,10 +14,12 @@ import pytest
 from tanglekit import (
     Permutation,
     RootedBinaryTree,
+    Tanglegram,
     canonical_form,
     catergram,
     caterpillar,
     contains_pattern,
+    format_tanglegram,
     rho,
     rho_layout,
     tilde,
@@ -93,6 +95,22 @@ def test_cli_induced_into_a_deep_catergram(tmp_path, capsys):
     sup = tmp_path / "sup.tg"
     sup.write_text("catergram (" + ",".join(map(str, range(N, 0, -1))) + ")\n")
     assert main(["induced", str(sub), str(sup)]) == 0
+    assert capsys.readouterr().out == "true\n"
+
+
+def test_cli_induced_scan_into_a_deep_tanglegram(tmp_path, capsys):
+    # the right tree ends in two cherries, so the pair is no catergram and
+    # the subset scan runs; its first 2-edge subset is already a copy
+    nested = ((N - 3, N - 2), (N - 1, N))
+    for d in range(N - 4, 0, -1):
+        nested = (d, nested)
+    sup = Tanglegram(caterpillar(N), RootedBinaryTree.from_nested(nested),
+                     {i: i for i in range(1, N + 1)})
+    sup_path = tmp_path / "sup.tg"
+    sup_path.write_text(format_tanglegram(sup) + "\n")
+    sub_path = tmp_path / "sub.tg"
+    sub_path.write_text("(1,2) ; (1,2) ; 1:1,2:2\n")
+    assert main(["induced", str(sub_path), str(sup_path)]) == 0
     assert capsys.readouterr().out == "true\n"
 
 

@@ -187,6 +187,16 @@ class TestPlanarity:
     def test_methods_agree(self, t):
         assert is_planar(t, "kuratowski") == is_planar(t, "oracle")
 
+    def test_scan_agrees_with_the_oracle_off_catergrams(self):
+        rng = random.Random(8)
+        checked = 0
+        while checked < 300:
+            t = random_tanglegram(rng, rng.randint(4, 10), planar=checked % 2 == 0)
+            if is_catergram(t):
+                continue
+            assert is_planar(t) == is_planar(t, "oracle"), t
+            checked += 1
+
     @given(permutation_entries(2, 8))
     def test_catergram_pattern_test_agrees(self, entries):
         pi = Permutation(entries)

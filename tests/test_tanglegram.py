@@ -1,5 +1,6 @@
 """Tanglegrams: construction, invariants, equality, induction, text form."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -29,8 +30,14 @@ from tanglekit import (
     parse_tanglegram,
     restrict,
 )
+from tanglekit.tanglegram import _has_induced_copy, _subset_profiles
 
-from conftest import permutation_entries, tanglegrams
+from conftest import (
+    object_scan_induced_copy,
+    permutation_entries,
+    random_tanglegram,
+    tanglegrams,
+)
 
 
 class TestConstruction:
@@ -239,6 +246,43 @@ class TestInduced:
         )
         sub = induced_on_left(sup, [1, 2, 3, 4])
         assert is_induced_sub(sub, sup)
+
+
+class TestPositionScan:
+    """The induced-copy scan on leaf positions against the object-building
+    scan in conftest, and the distance pairs and memo keys it reads off
+    the LCA gap arrays against the tanglegrams the subsets induce."""
+
+    def test_small_and_cut_subs_in_random_sups(self, small_tanglegrams):
+        rng = random.Random(5)
+        subs = [t for n in range(1, 5) for t in small_tanglegrams[n]]
+        for k in range(16):
+            sup = random_tanglegram(rng, rng.randint(4, 9), planar=k % 2 == 0)
+            cut = [
+                induced_on_left(sup, rng.sample(sorted(sup.left.labels()), m))
+                for m in (4, 5)
+                if m <= sup.size
+            ]
+            for sub in subs + cut:
+                targets = [(distance_pairs(sub), canonical_form(sub))]
+                want = object_scan_induced_copy(sup, targets)
+                assert _has_induced_copy(sup, targets) == want, (sub, sup)
+            for sub in cut:
+                assert _has_induced_copy(sup, [(distance_pairs(sub), canonical_form(sub))])
+
+    def test_every_subset_of_random_tanglegrams(self):
+        # a wrong distance pair is silent in the scan: it only turns a
+        # real copy into a miss, so every subset is checked here
+        rng = random.Random(6)
+        for k in range(30):
+            sup = random_tanglegram(rng, rng.randint(1, 8), planar=k % 3 == 0)
+            for m in range(1, sup.size + 1):
+                form_of: dict[tuple, tuple] = {}
+                for subset, pairs, key in _subset_profiles(sup, m):
+                    cand = induced_subtanglegram(sup, subset)
+                    assert pairs == distance_pairs(cand).pairs, (sup, subset)
+                    form = canonical_form(cand)
+                    assert form_of.setdefault(key, form) == form, (sup, subset)
 
 
 class TestTextForm:

@@ -1,11 +1,13 @@
 """Rooted binary trees: construction, traversal, orders, induction."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from tanglekit import RootedBinaryTree, caterpillar
 
-from conftest import tree_shapes, _label_shape
+from conftest import brute_lca_bit, random_nested, tree_shapes, _label_shape
 
 
 def test_from_nested_builds_balanced_four():
@@ -143,6 +145,21 @@ def test_subtree_labels():
     t = RootedBinaryTree.from_nested(((1, 2), (3, 4)))
     tops = {frozenset(t.subtree_labels(v)) for v in t.children(t.root)}
     assert tops == {frozenset({1, 2}), frozenset({3, 4})}
+
+
+def test_lca_gaps_give_the_lca_of_every_leaf_pair():
+    rng = random.Random(2)
+    trees = [RootedBinaryTree.from_nested(random_nested(rng, list(range(1, rng.randint(1, 14) + 1))))
+             for _ in range(60)]
+    # ids out of preorder: root 0, internal 2 above the leaves 3 and 4
+    trees.append(RootedBinaryTree([(2, 1), None, (3, 4), None, None], {1: "a", 3: "b", 4: "c"}))
+    assert trees[-1].leaves == ("b", "c", "a") and trees[-1].lca_gaps() == (1, 0)
+    for tree in trees:
+        gaps, leaves = tree.lca_gaps(), tree.leaves
+        assert len(gaps) == tree.n_leaves - 1
+        for i in range(len(leaves)):
+            for j in range(i + 1, len(leaves)):
+                assert min(gaps[i:j]) == brute_lca_bit(tree, leaves[i], leaves[j])
 
 
 def test_rejects_disconnected_vertex():
