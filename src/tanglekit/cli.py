@@ -26,7 +26,6 @@ from .render import to_svg, to_text, to_tikz
 from .tanglegram import (
     Tanglegram,
     enumerate_tanglegrams,
-    is_catergram,
     is_induced_sub,
     parse_tanglegram,
 )
@@ -64,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("planar", help="decide planarity of a tanglegram file")
     pl.add_argument("file")
     pl.add_argument("--method", choices=("kuratowski", "oracle"), default="kuratowski")
-    pl.add_argument("--cap", type=int, default=DEFAULT_SIZE_CAP)
 
     cn = sub.add_parser("crossing-number", help="minimum crossings over all layouts")
     cn.add_argument("file")
@@ -167,7 +165,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_planar(args) -> int:
     t = _read_tanglegram(args.file)
-    ok = is_planar(t, args.method, cap=args.cap)
+    ok = is_planar(t, args.method)
     print("true" if ok else "false")
     return 0 if ok else 1
 
@@ -180,10 +178,7 @@ def _cmd_crossing_number(args) -> int:
 
 def _cmd_layout(args) -> int:
     t = _read_tanglegram(args.file)
-    # Only catergrams have a planar search of their own; elsewhere
-    # planar_layout returns the sweep's first zero-crossing layout, which
-    # min_crossing_layout returns too.
-    lay = planar_layout(t) if is_catergram(t) else None
+    lay = planar_layout(t)
     if lay is None:
         lay, _ = min_crossing_layout(t, cap=args.cap)
     if args.emit == "svg":

@@ -8,30 +8,33 @@ count of a layout is the inversion count of the permutation sending
 left positions to partner positions.
 
 A tanglegram is planar when some layout has no crossings. Planarity has
-two independent deciders: an oracle that minimizes crossings over all
-embedding pairs, and an excluded-pattern test that looks for either of
-two size-4 obstructions as an induced subtanglegram. For catergrams the
-obstruction test collapses to four forbidden permutation patterns.
+two independent deciders. The oracle solves the swap-bit parity system:
+two matching edges whose ends split at the left vertex u and the right
+vertex w cross exactly when u's swap bit xor w's differs from their
+stored state, so a planar tanglegram is one whose XOR equations are
+consistent, and a solution is a crossing-free layout. The excluded-pattern
+test looks for either of two size-4 obstructions as an induced
+subtanglegram; for catergrams it collapses to four forbidden permutation
+patterns.
 
-The exhaustive sweep behind the crossing number, the oracle and the
-non-catergram layouts visits all 2^(n-1) left embeddings. It pays
-O(n^2) once per tanglegram to tabulate, for each left swap bit, how
-flipping it changes the crossing count at each right vertex; each
-further left mask then costs amortized O(right vertices it touches).
+The exhaustive sweep behind the crossing number and the crossing-minimal
+layouts visits all 2^(n-1) left embeddings. It reads the same O(n^2)
+tabulation of matching-edge pairs as the parity system, once per
+tanglegram, to find how flipping each left swap bit changes the crossing
+count at each right vertex; each further left mask then costs amortized
+O(right vertices it touches).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, InvalidLayoutError
 from .perm import Permutation, bar_members, contains_pattern, rho
 from .tanglegram import (
     Tanglegram,
-    _distance_positions,
     _has_induced_copy,
     canonical_form,
     catergram,
@@ -126,6 +129,43 @@ def _check_cap(t: Tanglegram, cap: int, what: str) -> None:
         )
 
 
+def _pair_table(t: Tanglegram) -> Iterator[tuple[int, dict[int, int], dict[int, int]]]:
+    """Per left bit u, in increasing order: ``(u, crossed, uncrossed)``,
+    where ``crossed[w]`` and ``uncrossed[w]`` count the pairs of matching
+    edges whose left ends split at u and right ends at the right bit w,
+    and which cross or do not cross while both trees are as stored.
+
+    Flipping u or w swaps the two counts, so a pair split at (u, w)
+    crosses exactly when x_u xor y_w differs from its stored state. Every
+    pair of leaves is visited once, O(n^2) in all. Right LCAs come from a
+    sparse table of minima over the right tree's LCA gaps, two lookups per
+    pair, so the memory besides the yielded counts is O(n log n).
+    """
+    gaps = t.right.lca_gaps()
+    # sparse[k][g] = min(gaps[g:g + 2**k]); the gaps [a, b) are covered by
+    # the two runs of the largest 2**k <= b - a that start at a and end at b,
+    # and run[b - a - 1] holds that row and 2**k
+    sparse = [gaps]
+    while 2 ** len(sparse) <= len(gaps):
+        prev, half = sparse[-1], 2 ** (len(sparse) - 1)
+        sparse.append([x if x < y else y for x, y in zip(prev, prev[half:])])
+    run = [(sparse[k], 1 << k) for k in (L.bit_length() - 1 for L in range(1, len(gaps) + 1))]
+    rpos = {lab: k for k, lab in enumerate(t.right.leaves)}
+    at = [rpos[t.right_partner(lab)] for lab in t.left.leaves]
+    # left leaves p < q split at u, so p comes first while u is as stored
+    for u, lo, mid, hi in t.left.splits():
+        crossed: dict[int, int] = {}
+        uncrossed: dict[int, int] = {}
+        for i in at[lo:mid]:
+            for j in at[mid:hi]:
+                a, b, count = (i, j, uncrossed) if i < j else (j, i, crossed)
+                row, span = run[b - a - 1]
+                x, y = row[a], row[b - span]
+                w = x if x < y else y
+                count[w] = count.get(w, 0) + 1
+        yield u, crossed, uncrossed
+
+
 def _sweep(t: Tanglegram) -> tuple[int, int, int]:
     """Fewest crossings, the smallest left swap mask that reaches it, and
     the right swap mask that goes with it.
@@ -143,33 +183,17 @@ def _sweep(t: Tanglegram) -> tuple[int, int, int]:
     better count replaces the incumbent, and a zero count ends the sweep.
     """
     left, right = t.left, t.right
-    # split_at[i][j]: right bit where right leaves i < j (stored order)
-    # split, the running minimum of the LCA gaps from i on
-    gaps = right.lca_gaps()
-    split_at = [[0] * (i + 1) + list(accumulate(gaps[i:], min)) for i in range(t.size)]
     pairs = [0] * right.internal_count  # |A_w||B_w|
     for w, lo, mid, hi in right.splits():
         pairs[w] = (mid - lo) * (hi - mid)
-    rpos = {lab: k for k, lab in enumerate(right.leaves)}
-    at = [rpos[t.right_partner(lab)] for lab in left.leaves]
-
-    # left leaves p < q split at u, so p comes first while u is as stored;
-    # flip[u][w] is what setting u's bit adds to c_w
+    # c_w at left mask 0, and flip[u][w]: what setting u's bit adds to c_w
     cross = [0] * right.internal_count
     flip: list[dict[int, int]] = []
-    for _, lo, mid, hi in left.splits():
-        delta: dict[int, int] = {}
-        for p in range(lo, mid):
-            i = at[p]
-            for q in range(mid, hi):
-                j = at[q]
-                if i < j:
-                    w = split_at[i][j]
-                    delta[w] = delta.get(w, 0) + 1
-                else:
-                    w = split_at[j][i]
-                    cross[w] += 1
-                    delta[w] = delta.get(w, 0) - 1
+    for _, crossed, uncrossed in _pair_table(t):
+        delta = dict(uncrossed)
+        for w, c in crossed.items():
+            cross[w] += c
+            delta[w] = delta.get(w, 0) - c
         flip.append(delta)
     # the step into a mask sets its lowest set bit and clears every bit below
     steps: list[list[tuple[int, int]]] = []
@@ -196,7 +220,54 @@ def _sweep(t: Tanglegram) -> tuple[int, int, int]:
     return best, best_mask, right_mask
 
 
-def _sweep_layout(t: Tanglegram, left_mask: int, right_mask: int) -> Layout:
+def _planar_masks(t: Tanglegram) -> tuple[int, int] | None:
+    """The smallest left swap mask with no crossings and the right swap
+    mask that goes with it, or None when every layout has a crossing.
+
+    No pair crosses exactly when x_u xor y_w equals the stored state of
+    every pair split at (u, w): one XOR equation per state that occurs
+    at (u, w), which a union-find with parities collects. An equation
+    that contradicts those before it leaves no solution; a (u, w) with
+    pairs in both states is the shortest such case. Otherwise fixing one
+    bit of a component fixes all of them, and the smallest mask sets the
+    highest left bit of each component to 0: the first zero-crossing
+    layout of the sweep, found in O(n^2).
+    """
+    nl = t.left.internal_count
+    parent = list(range(nl + t.right.internal_count))  # right bit w is nl + w
+    parity = [0] * len(parent)  # a bit's value xor its parent's
+
+    def find(v: int) -> tuple[int, int]:
+        """v's root and v's value xor the root's; compresses the path."""
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        acc = 0
+        for x in reversed(path):
+            acc ^= parity[x]
+            parent[x], parity[x] = v, acc
+        return v, acc
+
+    for u, crossed, uncrossed in _pair_table(t):
+        ru, pu = find(u)
+        for counts, state in ((crossed, 1), (uncrossed, 0)):
+            for w in counts:
+                rw, pw = find(nl + w)
+                if rw != ru:
+                    parent[rw], parity[rw] = ru, pu ^ pw ^ state
+                elif pu ^ pw != state:
+                    return None
+    bits = [find(v) for v in range(len(parent))]
+    # the root's value that sets its component's highest left bit to 0:
+    # left bits come in increasing order, so the last one per root wins
+    root_value = {r: p for r, p in bits[:nl]}
+    values = [root_value[r] ^ p for r, p in bits]
+    left_mask = sum(1 << u for u in range(nl) if values[u])
+    return left_mask, sum(1 << w for w, v in enumerate(values[nl:]) if v)
+
+
+def _mask_layout(t: Tanglegram, left_mask: int, right_mask: int) -> Layout:
     return Layout(t, t.left.leaf_order(left_mask), t.right.leaf_order(right_mask))
 
 
@@ -215,7 +286,7 @@ def min_crossing_layout(t: Tanglegram, *, cap: int = DEFAULT_SIZE_CAP) -> tuple[
     """
     _check_cap(t, cap, "min_crossing_layout")
     cost, left_mask, right_mask = _sweep(t)
-    return _sweep_layout(t, left_mask, right_mask), cost
+    return _mask_layout(t, left_mask, right_mask), cost
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +312,7 @@ def _excluded_fingerprints():
     )
 
 
-def is_planar(t: Tanglegram, method: str = "kuratowski", *, cap: int = DEFAULT_SIZE_CAP) -> bool:
+def is_planar(t: Tanglegram, method: str = "kuratowski") -> bool:
     """Decide planarity.
 
     ``kuratowski`` looks for an induced copy of one of the two
@@ -250,13 +321,14 @@ def is_planar(t: Tanglegram, method: str = "kuratowski", *, cap: int = DEFAULT_S
     positions, which reads each subset's shape off the trees' LCA gap
     arrays and builds trees only for a shape that passes the
     distance-pair filter for the first time. That is C(n,4) subsets of
-    at most O(n) cheap steps each, with no size cap. ``oracle``
-    asks whether the crossing number is zero (subject to the sweep's
-    size cap). The two methods agree; the test suite exercises that
+    at most O(n) cheap steps each, with no size cap. ``oracle`` asks
+    whether a zero-crossing layout exists, by solving the swap-bit
+    parity system behind :func:`planar_layout` in O(n^2), with no size
+    cap either. The two methods agree; the test suite exercises that
     equivalence.
     """
     if method == "oracle":
-        return crossing_number(t, cap=cap) == 0
+        return _planar_masks(t) is not None
     if method != "kuratowski":
         raise ValueError(f"unknown method {method!r}")
     if is_catergram(t):
@@ -279,110 +351,15 @@ def is_planar_catergram(pi: Permutation) -> bool:
 # ----------------------------------------------------------------------
 # crossing-free layouts
 
-def _cater_planar_positions(pi: Permutation) -> tuple[int, ...] | None:
-    """Left order (as distance labels) of the first zero-crossing layout
-    of the catergram of ``pi``, or None when there is none.
-
-    Zero-crossing left orders keep, for every k, the k largest labels
-    contiguous, so each candidate grows from the top: n, then n-1 at
-    either end, down to 1. The image under pi must satisfy the same
-    contiguity, which prunes a branch as soon as some block of large
-    images is broken or walled off from both ends. Branching prefers the
-    low end, which makes the first hit the one a swap-mask sweep in
-    increasing mask order would find.
-    """
-    n = len(pi)
-    vals = pi.entries
-    # largest image over the labels 1..v
-    max_img_upto = [0] * (n + 1)
-    for v in range(1, n + 1):
-        max_img_upto[v] = max(max_img_upto[v - 1], vals[v - 1])
-
-    # The block of placed labels n, n-1, ... lies on the coordinates
-    # ends[0]..ends[1], label n at 0: a label joining the low end takes
-    # the coordinate below it, one joining the high end the one above.
-    # at[img] is the coordinate of the placed label with that image.
-    at: list[int | None] = [None] * (n + 1)
-    at[vals[n - 1]] = 0
-    ends = [0, 0]
-
-    def viable(placed: int, next_value: int) -> bool:
-        # one pass over the placed images in descending order
-        max_future = max_img_upto[next_value]
-        low, high = ends
-        seen = 0
-        for img in range(n, 0, -1):
-            c = at[img]
-            if c is None:
-                continue
-            if not seen:
-                lo = hi = c
-            else:
-                if max_future > img and lo != low and hi != high:
-                    return False  # more large images must attach, but the block is walled in
-                if c == lo - 1:
-                    lo = c
-                elif c == hi + 1:
-                    hi = c
-                else:
-                    return False  # a top block of images has a gap
-            seen += 1
-            if seen == placed:
-                break
-        return True
-
-    # Depth-first over the end each label joins, with an explicit stack:
-    # ``sides`` holds the end (0 low, 1 high) that labels n-1, n-2, ...
-    # joined, and ``side`` is the next end to try for the label after them.
-    sides: list[int] = []
-    side = 0
-    while True:
-        v = n - 1 - len(sides)
-        if v == 0:
-            # The last check passed every top block of all n images, so
-            # the images, like the labels, are in a caterpillar order.
-            imgs = [0] * n
-            for img in range(1, n + 1):
-                imgs[at[img] - ends[0]] = img  # type: ignore[operator]
-            label_of = pi.inverse().entries
-            return tuple(label_of[img - 1] for img in imgs)
-        if side < 2:
-            ends[side] += 1 if side else -1
-            at[vals[v - 1]] = ends[side]
-            sides.append(side)
-            if viable(n - v + 1, v - 1):
-                side = 0
-                continue
-            # a dead end: undone below like any exhausted depth
-        # step back: take the last label out and try its other end
-        if not sides:
-            return None
-        side = sides.pop()
-        at[vals[n - 2 - len(sides)]] = None
-        ends[side] -= 1 if side else -1
-        side += 1
-
-
-def planar_layout(t: Tanglegram, *, cap: int = DEFAULT_SIZE_CAP) -> Layout | None:
+def planar_layout(t: Tanglegram) -> Layout | None:
     """A zero-crossing layout, or None if the tanglegram is not planar.
 
-    Catergrams use the contiguity search above, which needs no size cap.
-    Other tanglegrams take the crossing sweep's first zero-crossing
-    layout, under ``cap``: the first left swap mask whose partner
-    sequence is a right leaf order, and that sequence.
+    The layout is the crossing sweep's first zero-crossing one, the
+    smallest left swap mask with no crossings and its right mask, read
+    off the swap-bit parity system in O(n^2) time with no size cap.
     """
-    if is_catergram(t):
-        pi = catergram_permutation(t)
-        seq = _cater_planar_positions(pi)
-        if seq is None:
-            return None
-        label_at = {p: lab for lab, p in _distance_positions(t.left).items()}
-        left_order = tuple(label_at[p] for p in seq)
-        right_order = tuple(t.right_partner(lab) for lab in left_order)
-        return Layout(t, left_order, right_order)
-    _check_cap(t, cap, "planar_layout")
-    cost, left_mask, right_mask = _sweep(t)
-    return None if cost else _sweep_layout(t, left_mask, right_mask)
+    masks = _planar_masks(t)
+    return None if masks is None else _mask_layout(t, *masks)
 
 
 def rho_layout(i: int) -> Layout:

@@ -116,9 +116,17 @@ def sweep_planar_left_order(t: Tanglegram):
 
 
 def sorting_cater_search(pi: Permutation):
-    """The catergram planar search as first written: it re-sorts the whole
-    block by image for every label it places. The library's search must
-    return the same first hit."""
+    """Reference for the planar layouts of catergrams: the left order (as
+    distance labels) of the first zero-crossing layout, or None.
+
+    Zero-crossing left orders keep, for every k, the k largest labels
+    contiguous, so each candidate grows from the top: n, then n-1 at
+    either end, down to 1, pruned as soon as a top block of images is
+    broken or walled off from both ends. Branching prefers the low end,
+    so the first hit is the one a swap-mask sweep in increasing mask
+    order finds; ``planar_layout`` must return it too. It re-sorts the
+    whole block for every label it places and takes exponential time on
+    some non-planar inputs, so tests run it on sizes up to 40 only."""
     n = len(pi)
     vals = pi.entries
     max_img_upto = [0] * (n + 1)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import tanglekit
-from tanglekit import cli, rho
+from tanglekit import RootedBinaryTree, Tanglegram, cli, format_tanglegram, rho
 from tanglekit.cli import main
 
 from conftest import svg_leaf_order
@@ -116,6 +116,23 @@ class TestPlanar:
         assert main(["planar", str(p)]) == 0
         assert capsys.readouterr().out == "true\n"
 
+    def test_oracle_on_sixty_leaves(self, tmp_path, capsys):
+        # two 30-leaf caterpillars joined at the root on both sides,
+        # matched by identity: planar, and far over the sweep's cap
+        def caterpillar(labels):
+            nested = labels[-1]
+            for lab in reversed(labels[:-1]):
+                nested = (lab, nested)
+            return nested
+
+        tree = RootedBinaryTree.from_nested(
+            (caterpillar(list(range(1, 31))), caterpillar(list(range(31, 61))))
+        )
+        p = tmp_path / "sixty.tg"
+        p.write_text(format_tanglegram(Tanglegram(tree, tree, {i: i for i in range(1, 61)})) + "\n")
+        assert main(["planar", str(p), "--method", "oracle"]) == 0
+        assert capsys.readouterr().out == "true\n"
+
     def test_large_catergram_with_a_planted_obstruction(self, tmp_path, capsys):
         p = tmp_path / "planted.tg"
         entries = [3, 2, 1, 4] + list(range(5, 1001))
@@ -157,6 +174,22 @@ class TestLayout:
         svg = capsys.readouterr().out
         ET.fromstring(svg)
         assert svg_leaf_order(svg, "left") == ("1", "2", "3")
+
+    def test_non_planar_catergram_over_the_cap_exits_3_at_once(self, tmp_path):
+        # the identity of size 34 with 3 and 6 swapped is not planar; a
+        # child process with a timeout keeps a hang from stalling the suite
+        p = tmp_path / "near-identity.tg"
+        p.write_text("catergram (" + ",".join(map(str, [1, 2, 6, 4, 5, 3] + list(range(7, 35)))) + ")\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(tanglekit.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from tanglekit.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "layout", str(p)],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("budget exceeded: ")
+        assert "min_crossing_layout" in proc.stderr
 
     def test_tikz_emission(self, planar_file, capsys):
         assert main(["layout", planar_file, "--emit", "tikz"]) == 0

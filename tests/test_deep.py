@@ -2,8 +2,9 @@
 
 A caterpillar is as deep as it has leaves, so every tree walk here runs
 on 2500-leaf trees at the default limit of 1000 frames. The pattern
-search and the catergram layout search are as deep as their inputs are
-long, and run here on inputs of 1000 to 2500 entries.
+search is as deep as its inputs are long, and the parity system behind
+planar layouts and the `oracle` planarity test has one equation per
+pair of leaves; both run here on inputs of 1000 to 2500 entries.
 """
 
 import sys
@@ -136,3 +137,9 @@ def test_cli_layout_of_a_deep_catergram(tmp_path, capsys):
     path = _catergram_file(tmp_path / "rho.tg", rho(494))
     assert main(["layout", path]) == 0
     assert capsys.readouterr().out.endswith("crossings: 0\n")
+
+
+def test_cli_planar_oracle_on_a_deep_catergram(tmp_path, capsys):
+    path = _catergram_file(tmp_path / "rho.tg", rho(494))
+    assert main(["planar", path, "--method", "oracle"]) == 0
+    assert capsys.readouterr().out == "true\n"

@@ -187,6 +187,12 @@ class TestPlanarity:
     def test_methods_agree(self, t):
         assert is_planar(t, "kuratowski") == is_planar(t, "oracle")
 
+    def test_oracle_means_crossing_number_zero(self, small_tanglegrams):
+        rng = random.Random(10)
+        seeded = [random_tanglegram(rng, rng.randint(1, 11), planar=k % 2 == 0) for k in range(300)]
+        for t in [t for reps in small_tanglegrams.values() for t in reps] + seeded:
+            assert is_planar(t, "oracle") == (crossing_number(t) == 0), t
+
     def test_scan_agrees_with_the_oracle_off_catergrams(self):
         rng = random.Random(8)
         checked = 0
@@ -225,21 +231,43 @@ class TestPlanarLayout:
         assert lay.right_order == (1, 2, 3, 4, 5)
 
     def test_catergram_route_ignores_the_cap(self):
-        # size 28 is far over the sweep cap; the contiguity search
-        # handles it without one
+        # size 28 is far over the sweep cap; the parity system has none
         lay = planar_layout(catergram(rho(8)))
         assert lay is not None
         assert count_crossings(lay) == 0
 
-    def test_generic_route_respects_the_cap(self):
+    def test_generic_route_needs_no_cap(self):
         big = RootedBinaryTree.from_nested(
             ((((1, 2), (3, 4)), ((5, 6), (7, 8))), (((9, 10), (11, 12)), (13, 14)))
         )
         t = Tanglegram(big, big, {i: i for i in range(1, 15)})
-        with pytest.raises(BudgetExceededError):
-            planar_layout(t)
-        lay = planar_layout(t, cap=14)
-        assert lay is not None and count_crossings(lay) == 0
+        lay = planar_layout(t)
+        swept, cost = min_crossing_layout(t, cap=14)
+        assert cost == 0
+        assert (lay.left_order, lay.right_order) == (swept.left_order, swept.right_order)
+
+    @staticmethod
+    def check_first_layout(t):
+        """planar_layout against the two sweeps in conftest: None exactly
+        when the fewest crossings are not zero, else the first
+        zero-crossing left order and its partners on the right."""
+        cost, left_order, right_order = per_mask_sweep(t)
+        lay = planar_layout(t)
+        if cost:
+            assert lay is None, t
+        else:
+            assert lay.left_order == sweep_planar_left_order(t) == left_order, t
+            assert lay.right_order == right_order, t
+
+    def test_every_tanglegram_up_to_size_five_gets_the_first_layout(self, small_tanglegrams):
+        for reps in small_tanglegrams.values():
+            for t in reps:
+                self.check_first_layout(t)
+
+    def test_seeded_random_up_to_size_eleven_get_the_first_layout(self):
+        rng = random.Random(9)
+        for k in range(2000):
+            self.check_first_layout(random_tanglegram(rng, rng.randint(1, 11), planar=k % 2 == 0))
 
     @given(tanglegrams(2, 6))
     def test_agrees_with_the_oracle(self, t):
