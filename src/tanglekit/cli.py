@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pl = sub.add_parser("planar", help="decide planarity of a tanglegram file")
     pl.add_argument("file")
-    pl.add_argument("--method", choices=("kuratowski", "oracle"), default="kuratowski")
+    pl.add_argument("--method", choices=("kuratowski", "oracle"), default="oracle")
 
     cn = sub.add_parser("crossing-number", help="minimum crossings over all layouts")
     cn.add_argument("file")

@@ -8,14 +8,14 @@ count of a layout is the inversion count of the permutation sending
 left positions to partner positions.
 
 A tanglegram is planar when some layout has no crossings. Planarity has
-two independent deciders. The oracle solves the swap-bit parity system:
-two matching edges whose ends split at the left vertex u and the right
-vertex w cross exactly when u's swap bit xor w's differs from their
-stored state, so a planar tanglegram is one whose XOR equations are
-consistent, and a solution is a crossing-free layout. The excluded-pattern
-test looks for either of two size-4 obstructions as an induced
-subtanglegram; for catergrams it collapses to four forbidden permutation
-patterns.
+two independent deciders. The default, the oracle, solves the swap-bit
+parity system in O(n^2): two matching edges whose ends split at the left
+vertex u and the right vertex w cross exactly when u's swap bit xor w's
+differs from their stored state, so a planar tanglegram is one whose XOR
+equations are consistent, and a solution is a crossing-free layout. The
+excluded-pattern test, kept as the cross-check, looks for either of two
+size-4 obstructions as an induced subtanglegram; for catergrams it
+collapses to four forbidden permutation patterns.
 
 The exhaustive sweep behind the crossing number and the crossing-minimal
 layouts visits all 2^(n-1) left embeddings. It reads the same O(n^2)
@@ -312,20 +312,20 @@ def _excluded_fingerprints():
     )
 
 
-def is_planar(t: Tanglegram, method: str = "kuratowski") -> bool:
+def is_planar(t: Tanglegram, method: str = "oracle") -> bool:
     """Decide planarity.
 
-    ``kuratowski`` looks for an induced copy of one of the two
-    obstructions: for a catergram by the forbidden-pattern test, for
+    ``oracle``, the default, asks whether a zero-crossing layout exists,
+    by solving the swap-bit parity system behind :func:`planar_layout`
+    in O(n^2), with no size cap. ``kuratowski`` is the independent
+    cross-check: it looks for an induced copy of one of the two
+    obstructions, for a catergram by the forbidden-pattern test, for
     any other tanglegram by scanning every 4-edge subset on leaf
     positions, which reads each subset's shape off the trees' LCA gap
     arrays and builds trees only for a shape that passes the
     distance-pair filter for the first time. That is C(n,4) subsets of
-    at most O(n) cheap steps each, with no size cap. ``oracle`` asks
-    whether a zero-crossing layout exists, by solving the swap-bit
-    parity system behind :func:`planar_layout` in O(n^2), with no size
-    cap either. The two methods agree; the test suite exercises that
-    equivalence.
+    at most O(n) cheap steps each, with no size cap either. The two
+    methods agree; the test suite exercises that equivalence.
     """
     if method == "oracle":
         return _planar_masks(t) is not None

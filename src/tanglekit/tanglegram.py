@@ -254,7 +254,11 @@ def is_induced_sub(sub: Tanglegram, sup: Tanglegram) -> bool:
 
     When both inputs are catergrams this reduces to permutation pattern
     containment: the small one's defining permutation, or any member of
-    its bar set, must be a pattern of the big one's. Otherwise the edge
+    its bar set, must be a pattern of the big one's. Otherwise planarity
+    is hereditary, so a non-planar ``sub`` is no induced subtanglegram
+    of a planar ``sup``: the swap-bit parity system decides ``sub`` in
+    O(m^2) when m >= 4 (smaller ones are all planar) and, only when
+    ``sub`` is not planar, ``sup`` in O(n^2). Past that filter the edge
     subsets of the right size are scanned smallest-first on leaf
     positions (see :func:`_has_induced_copy`): a subset costs O(m^2)
     steps plus minima over at most n-1 LCA gaps, and only one that
@@ -268,6 +272,11 @@ def is_induced_sub(sub: Tanglegram, sup: Tanglegram) -> bool:
         small = catergram_permutation(sub)
         big = catergram_permutation(sup)
         return any(contains_pattern(big, s) is not None for _, s in bar_members(small))
+    if m >= 4:
+        from .layout import _planar_masks  # layout imports this module
+
+        if _planar_masks(sub) is None and _planar_masks(sup) is not None:
+            return False
     return _has_induced_copy(sup, [(distance_pairs(sub), canonical_form(sub))])
 
 

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+import tanglekit
 from tanglekit import (
     Layout,
     Permutation,
@@ -336,6 +341,35 @@ def random_tanglegram(rng, n: int, planar: bool = False) -> Tanglegram:
         order = rng.sample(range(1, n + 1), n)
     right = RootedBinaryTree.from_nested(random_nested(rng, [f"r{lab}" for lab in order]))
     return Tanglegram(left, right, {lab: f"r{lab}" for lab in order})
+
+
+def joined_caterpillars(k: int) -> Tanglegram:
+    """Two k-leaf caterpillars joined at the root on both sides, matched
+    by identity: planar, and no catergram."""
+    def caterpillar(labels):
+        nested = labels[-1]
+        for lab in reversed(labels[:-1]):
+            nested = (lab, nested)
+        return nested
+
+    tree = RootedBinaryTree.from_nested(
+        (caterpillar(list(range(1, k + 1))), caterpillar(list(range(k + 1, 2 * k + 1))))
+    )
+    return Tanglegram(tree, tree, {i: i for i in range(1, 2 * k + 1)})
+
+
+# ------------------------------------------------------ child processes
+
+def run_cli(argv, timeout: float) -> subprocess.CompletedProcess:
+    """Run the command line in a fresh interpreter (recursion limit 1000)
+    and wait at most ``timeout`` seconds, so that a hang or a slow path
+    fails the test with ``TimeoutExpired`` instead of stalling the suite."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tanglekit.__file__).parent.parent))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from tanglekit.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
 
 
 # ------------------------------------------------------------- fixtures

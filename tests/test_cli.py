@@ -2,19 +2,20 @@
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
+import random
+import re
 import xml.etree.ElementTree as ET
-from pathlib import Path
+from collections import Counter
 
 import pytest
 
-import tanglekit
-from tanglekit import RootedBinaryTree, Tanglegram, cli, format_tanglegram, rho
+from tanglekit import cli, format_tanglegram, rho
 from tanglekit.cli import main
 
-from conftest import svg_leaf_order
+from conftest import joined_caterpillars, random_tanglegram, run_cli, svg_leaf_order
+
+# the default decider, then the independent cross-check
+BOTH_METHODS = ([], ["--method", "kuratowski"])
 
 
 @pytest.fixture
@@ -91,12 +92,14 @@ class TestVerify:
 
 class TestPlanar:
     def test_planar_true(self, planar_file, capsys):
-        assert main(["planar", planar_file]) == 0
-        assert capsys.readouterr().out == "true\n"
+        for method in BOTH_METHODS:
+            assert main(["planar", planar_file, *method]) == 0
+            assert capsys.readouterr().out == "true\n"
 
     def test_planar_false(self, crossed_file, capsys):
-        assert main(["planar", crossed_file]) == 1
-        assert capsys.readouterr().out == "false\n"
+        for method in BOTH_METHODS:
+            assert main(["planar", crossed_file, *method]) == 1
+            assert capsys.readouterr().out == "false\n"
 
     def test_oracle_method(self, balanced_file, capsys):
         assert main(["planar", balanced_file, "--method", "oracle"]) == 1
@@ -113,32 +116,91 @@ class TestPlanar:
         # 200 leaves: C(200,4) subsets are far too many to scan
         p = tmp_path / "rho94.tg"
         p.write_text(f"catergram {rho(94)}\n")
-        assert main(["planar", str(p)]) == 0
-        assert capsys.readouterr().out == "true\n"
+        for method in BOTH_METHODS:
+            assert main(["planar", str(p), *method]) == 0
+            assert capsys.readouterr().out == "true\n"
 
     def test_oracle_on_sixty_leaves(self, tmp_path, capsys):
-        # two 30-leaf caterpillars joined at the root on both sides,
-        # matched by identity: planar, and far over the sweep's cap
-        def caterpillar(labels):
-            nested = labels[-1]
-            for lab in reversed(labels[:-1]):
-                nested = (lab, nested)
-            return nested
-
-        tree = RootedBinaryTree.from_nested(
-            (caterpillar(list(range(1, 31))), caterpillar(list(range(31, 61))))
-        )
+        # planar, and far over the sweep's cap
         p = tmp_path / "sixty.tg"
-        p.write_text(format_tanglegram(Tanglegram(tree, tree, {i: i for i in range(1, 61)})) + "\n")
+        p.write_text(format_tanglegram(joined_caterpillars(30)) + "\n")
         assert main(["planar", str(p), "--method", "oracle"]) == 0
         assert capsys.readouterr().out == "true\n"
+
+    @pytest.mark.parametrize("k", [30, 100])
+    def test_default_answers_large_non_catergrams_at_once(self, tmp_path, k):
+        # the obstruction scan visits C(2k,4) subsets: seconds at k = 30
+        # and minutes at k = 100; the parity system takes milliseconds
+        p = tmp_path / "joined.tg"
+        p.write_text(format_tanglegram(joined_caterpillars(k)) + "\n")
+        proc = run_cli(["planar", str(p)], timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "true\n", "")
 
     def test_large_catergram_with_a_planted_obstruction(self, tmp_path, capsys):
         p = tmp_path / "planted.tg"
         entries = [3, 2, 1, 4] + list(range(5, 1001))
         p.write_text("catergram (" + ",".join(map(str, entries)) + ")\n")
-        assert main(["planar", str(p)]) == 1
-        assert capsys.readouterr().out == "false\n"
+        for method in BOTH_METHODS:
+            assert main(["planar", str(p), *method]) == 1
+            assert capsys.readouterr().out == "false\n"
+
+
+class TestPlanarFuzz:
+    """Seeded mutations of small ``planar`` inputs, in both the
+    three-field form and the catergram shorthand."""
+
+    TOKEN = re.compile(r"[^(),;:\s]+")
+
+    def mutate(self, rng, text):
+        tokens = [m.span() for m in self.TOKEN.finditer(text)]
+        # labels of one kind: one tree's leaves, or one side of the matching
+        kinds: dict[tuple, list] = {}
+        for a, b in tokens:
+            kinds.setdefault((text.count(";", 0, a), text[a - 1:a] == ":"), []).append((a, b))
+        swappable = [spans for spans in kinds.values() if len(spans) >= 2]
+        kind = rng.randrange(-5, 5) if swappable else rng.randrange(1, 5)
+        if kind <= 0:
+            # swap two labels of one kind: stays parseable, moves the
+            # matching
+            (a, b), (c, d) = sorted(rng.sample(rng.choice(swappable), 2))
+            return text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+        if kind == 1:
+            a, b = rng.choice(tokens)
+            new = rng.choice(["x", "-1", "07", "1.5", text[a:b] + "0", "catergram"])
+            return text[:a] + new + text[b:]
+        k = rng.randrange(len(text) + 1)
+        if kind == 2:
+            return text[:k] + text[k + 1:]
+        if kind == 3:
+            # a delimiter: the nesting, the fields or the matching pairs
+            return text[:k] + rng.choice("(),;:") + text[k:]
+        j = rng.randrange(k, len(text) + 1)
+        return text[:k] + text[k:j] + text[k:j] + text[j:]
+
+    def test_exit_codes_and_agreement(self, tmp_path, capsys):
+        rng = random.Random(13)
+        path = tmp_path / "fuzz.tg"
+        codes = Counter()
+        for k in range(300):
+            n = rng.randint(1, 8)
+            if k % 3:
+                text = format_tanglegram(random_tanglegram(rng, n, planar=k % 2 == 0))
+            else:
+                text = "catergram (" + ",".join(map(str, rng.sample(range(1, 10), n))) + ")"
+            for _ in range(rng.randint(0, 3)):
+                text = self.mutate(rng, text)
+            path.write_text(text + "\n")
+            runs = []
+            for method in BOTH_METHODS:
+                code = main(["planar", str(path), *method])
+                out, err = capsys.readouterr()
+                assert code in (0, 1, 2), text
+                assert "Traceback" not in err, text
+                runs.append((code, out, err))
+            assert runs[0] == runs[1], text
+            codes[runs[0][0]] += 1
+        # planar, non-planar and unparseable inputs all occur
+        assert min(codes[c] for c in (0, 1, 2)) >= 30, codes
 
 
 class TestCrossingNumber:
@@ -180,12 +242,7 @@ class TestLayout:
         # child process with a timeout keeps a hang from stalling the suite
         p = tmp_path / "near-identity.tg"
         p.write_text("catergram (" + ",".join(map(str, [1, 2, 6, 4, 5, 3] + list(range(7, 35)))) + ")\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(tanglekit.__file__).parent.parent))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from tanglekit.cli import main; "
-             "sys.exit(main(sys.argv[1:]))", "layout", str(p)],
-            env=env, capture_output=True, text=True, timeout=30,
-        )
+        proc = run_cli(["layout", str(p)], timeout=30)
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr.startswith("budget exceeded: ")
@@ -219,6 +276,16 @@ class TestPattern:
 
 
 class TestInduced:
+    def test_non_planar_sub_of_a_planar_sup_answers_at_once(self, tmp_path):
+        # a scan would visit C(60,5) = 5.5 million subsets; heredity of
+        # planarity answers in O(n^2)
+        sub = tmp_path / "sub.tg"
+        sub.write_text("((1,2),((3,4),5)) ; ((1,2),((3,4),5)) ; 1:1,2:3,3:2,4:4,5:5\n")
+        sup = tmp_path / "sup.tg"
+        sup.write_text(format_tanglegram(joined_caterpillars(30)) + "\n")
+        proc = run_cli(["induced", str(sub), str(sup)], timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "false\n", "")
+
     def test_contained(self, tmp_path, capsys):
         sub = tmp_path / "sub.tg"
         sub.write_text("catergram (2,1,3)\n")
@@ -294,15 +361,10 @@ class TestSharedParser:
 
     def test_calls_match_a_fresh_interpreter(self, monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", "80")
-        env = dict(os.environ, PYTHONPATH=str(Path(tanglekit.__file__).parent.parent))
         for argv in self.ARGVS:
             code = main(argv)
             got = capsys.readouterr()
-            fresh = subprocess.run(
-                [sys.executable, "-c", "import sys; from tanglekit.cli import main; "
-                 "sys.exit(main(sys.argv[1:]))", *argv],
-                env=env, capture_output=True, text=True, timeout=60,
-            )
+            fresh = run_cli(argv, timeout=60)
             assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
     def test_repeated_request_repeats_its_output(self, capsys):

@@ -3,7 +3,7 @@
 A caterpillar is as deep as it has leaves, so every tree walk here runs
 on 2500-leaf trees at the default limit of 1000 frames. The pattern
 search is as deep as its inputs are long, and the parity system behind
-planar layouts and the `oracle` planarity test has one equation per
+planar layouts and the default planarity test has one equation per
 pair of leaves; both run here on inputs of 1000 to 2500 entries.
 """
 
@@ -29,6 +29,8 @@ from tanglekit import (
     to_tikz,
 )
 from tanglekit.cli import main
+
+from conftest import run_cli
 
 N = 2500
 
@@ -143,3 +145,11 @@ def test_cli_planar_oracle_on_a_deep_catergram(tmp_path, capsys):
     path = _catergram_file(tmp_path / "rho.tg", rho(494))
     assert main(["planar", path, "--method", "oracle"]) == 0
     assert capsys.readouterr().out == "true\n"
+
+
+def test_cli_planar_default_on_a_deep_catergram_answers_at_once(tmp_path):
+    # the four forbidden-pattern searches take about 19 s on this input; the
+    # default decider takes a fraction of a second
+    path = _catergram_file(tmp_path / "rho.tg", rho(494))
+    proc = run_cli(["planar", path], timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "true\n", "")

@@ -27,6 +27,7 @@ from tanglekit import (
     induced_subtanglegram,
     is_catergram,
     is_induced_sub,
+    is_planar,
     parse_tanglegram,
     restrict,
 )
@@ -283,6 +284,31 @@ class TestPositionScan:
                     assert pairs == distance_pairs(cand).pairs, (sup, subset)
                     form = canonical_form(cand)
                     assert form_of.setdefault(key, form) == form, (sup, subset)
+
+
+class TestHeredityFilter:
+    """is_induced_sub answers no at once for a non-planar sub and a planar
+    sup, without a scan; against the object-building scan in conftest it
+    must never turn a yes into a no."""
+
+    def test_agrees_with_the_object_scan(self):
+        rng = random.Random(11)
+        seen = Counter()
+        for k in range(40):
+            sup = random_tanglegram(rng, rng.randint(5, 9), planar=k % 2 == 0)
+            labels = sorted(sup.left.labels())
+            subs = [random_tanglegram(rng, m, planar=rng.random() < 0.3) for m in (4, 5)]
+            subs += [induced_on_left(sup, rng.sample(labels, m)) for m in (4, 4, 5, 5)]
+            for sub in subs:
+                if is_catergram(sub) and is_catergram(sup):
+                    continue
+                want = object_scan_induced_copy(sup, [(distance_pairs(sub), canonical_form(sub))])
+                assert is_induced_sub(sub, sup) == want, (sub, sup)
+                seen[is_planar(sub, "kuratowski"), is_planar(sup, "kuratowski"), want] += 1
+        # every (sub planar, sup planar) case, with yes and no answers
+        # except where heredity rules a yes out
+        cases = [(a, b, c) for a in (True, False) for b in (True, False) for c in (True, False)]
+        assert {case for case in cases if seen[case]} == set(cases) - {(False, True, True)}, seen
 
 
 class TestTextForm:
