@@ -13,9 +13,10 @@ parity system in O(n^2): two matching edges whose ends split at the left
 vertex u and the right vertex w cross exactly when u's swap bit xor w's
 differs from their stored state, so a planar tanglegram is one whose XOR
 equations are consistent, and a solution is a crossing-free layout. The
-excluded-pattern test, kept as the cross-check, looks for either of two
-size-4 obstructions as an induced subtanglegram; for catergrams it
-collapses to four forbidden permutation patterns.
+excluded-pattern test, kept as the cross-check, asks the one induced-copy
+search for either of two size-4 obstructions; that search routes a
+catergram to its four forbidden permutation patterns and scans any other
+tanglegram, and never calls the parity solver.
 
 The exhaustive sweep behind the crossing number and the crossing-minimal
 layouts visits all 2^(n-1) left embeddings. It reads the same O(n^2)
@@ -28,20 +29,11 @@ O(right vertices it touches).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, InvalidLayoutError
-from .perm import Permutation, bar_members, contains_pattern, rho
-from .tanglegram import (
-    Tanglegram,
-    _has_induced_copy,
-    canonical_form,
-    catergram,
-    catergram_permutation,
-    distance_pairs,
-    is_catergram,
-)
+from .perm import Permutation, rho
+from .tanglegram import Tanglegram, _has_induced_copy, catergram
 from .trees import Label, RootedBinaryTree
 
 DEFAULT_SIZE_CAP = 12
@@ -305,47 +297,37 @@ def excluded_tanglegrams() -> tuple[Tanglegram, Tanglegram]:
     return first, second
 
 
-@lru_cache(maxsize=1)
-def _excluded_fingerprints():
-    return tuple(
-        (distance_pairs(e), canonical_form(e)) for e in excluded_tanglegrams()
-    )
-
-
 def is_planar(t: Tanglegram, method: str = "oracle") -> bool:
     """Decide planarity.
 
     ``oracle``, the default, asks whether a zero-crossing layout exists,
     by solving the swap-bit parity system behind :func:`planar_layout`
     in O(n^2), with no size cap. ``kuratowski`` is the independent
-    cross-check: it looks for an induced copy of one of the two
-    obstructions, for a catergram by the forbidden-pattern test, for
-    any other tanglegram by scanning every 4-edge subset on leaf
-    positions, which reads each subset's shape off the trees' LCA gap
-    arrays and builds trees only for a shape that passes the
-    distance-pair filter for the first time. That is C(n,4) subsets of
-    at most O(n) cheap steps each, with no size cap either. The two
-    methods agree; the test suite exercises that equivalence.
+    cross-check: it asks the induced-copy search of
+    :func:`~tanglekit.tanglegram._has_induced_copy` for either
+    obstruction. On a catergram that is the forbidden-pattern test of
+    :func:`is_planar_catergram`; any other tanglegram has every 4-edge
+    subset scanned on leaf positions, which reads each subset's shape
+    off the trees' LCA gap arrays and builds trees only for a shape that
+    passes the distance-pair filter for the first time. That is C(n,4)
+    subsets of at most O(n) cheap steps each, with no size cap either.
+    The two methods agree; the test suite exercises that equivalence.
     """
     if method == "oracle":
         return _planar_masks(t) is not None
     if method != "kuratowski":
         raise ValueError(f"unknown method {method!r}")
-    if is_catergram(t):
-        return is_planar_catergram(catergram_permutation(t))
-    return not _has_induced_copy(t, _excluded_fingerprints())
-
-
-_FORBIDDEN_PATTERNS = tuple(p for _, p in bar_members(Permutation((3, 2, 1, 4))))
+    return not _has_induced_copy(t, excluded_tanglegrams())
 
 
 def is_planar_catergram(pi: Permutation) -> bool:
     """Planarity of the catergram of ``pi`` by forbidden patterns.
 
-    The four patterns are the bar set of (3,2,1,4); the catergram is
-    planar exactly when none of them occurs in ``pi``.
+    Of the two obstructions only the catergram of (3,2,1,4) can occur,
+    so the catergram is planar exactly when no member of that bar set
+    occurs in ``pi``. Below size 4 every catergram is planar.
     """
-    return all(contains_pattern(pi, p) is None for p in _FORBIDDEN_PATTERNS)
+    return len(pi) < 4 or not _has_induced_copy(catergram(pi), excluded_tanglegrams())
 
 
 # ----------------------------------------------------------------------

@@ -252,32 +252,24 @@ def induced_on_left(t: Tanglegram, left_labels: Iterable[Label]) -> Tanglegram:
 def is_induced_sub(sub: Tanglegram, sup: Tanglegram) -> bool:
     """True iff some subset of ``sup``'s matching edges induces ``sub``.
 
-    When both inputs are catergrams this reduces to permutation pattern
-    containment: the small one's defining permutation, or any member of
-    its bar set, must be a pattern of the big one's. Otherwise planarity
-    is hereditary, so a non-planar ``sub`` is no induced subtanglegram
-    of a planar ``sup``: the swap-bit parity system decides ``sub`` in
-    O(m^2) when m >= 4 (smaller ones are all planar) and, only when
-    ``sub`` is not planar, ``sup`` in O(n^2). Past that filter the edge
-    subsets of the right size are scanned smallest-first on leaf
-    positions (see :func:`_has_induced_copy`): a subset costs O(m^2)
-    steps plus minima over at most n-1 LCA gaps, and only one that
-    passes the distance-pair filter with a shape not seen before in the
-    scan builds trees.
+    The search is :func:`_has_induced_copy`: bar-set patterns when
+    ``sup`` is a catergram, so a ``sub`` of at least 2 leaves whose
+    trees are not both caterpillars answers no at once, and otherwise a
+    scan of the m-edge subsets. Ahead of the scan, planarity is
+    hereditary, so a non-planar ``sub`` is no induced subtanglegram of
+    a planar ``sup``: when m >= 4 (smaller ones are all planar) the
+    swap-bit parity system decides ``sub`` in O(m^2) and, only when
+    ``sub`` is not planar, ``sup`` in O(n^2).
     """
     m, n = sub.size, sup.size
     if m > n:
         return False
-    if is_catergram(sub) and is_catergram(sup):
-        small = catergram_permutation(sub)
-        big = catergram_permutation(sup)
-        return any(contains_pattern(big, s) is not None for _, s in bar_members(small))
-    if m >= 4:
+    if m >= 4 and not is_catergram(sup):
         from .layout import _planar_masks  # layout imports this module
 
         if _planar_masks(sub) is None and _planar_masks(sup) is not None:
             return False
-    return _has_induced_copy(sup, [(distance_pairs(sub), canonical_form(sub))])
+    return _has_induced_copy(sup, [sub])
 
 
 def _induced_depths(bits: Sequence[int]) -> list[int]:
@@ -338,25 +330,37 @@ def _subset_profiles(sup: Tanglegram, m: int):
         yield [e for _, _, e in subset], pairs, (lpat, rpat, match)
 
 
-def _has_induced_copy(
-    sup: Tanglegram,
-    targets: Sequence[tuple[DistancePairMultiset, tuple]],
-) -> bool:
-    """True iff some edge subset of ``sup`` induces one of the targets.
+def _has_induced_copy(sup: Tanglegram, targets: Sequence[Tanglegram]) -> bool:
+    """True iff some edge subset of ``sup`` induces one of the targets,
+    which all have the same size m.
 
-    Each target is a ``(distance_pairs, canonical_form)`` pair; all have
-    the same size m. The m-edge subsets are scanned in combinations
-    order on leaf positions, building nothing: the LCA gap arrays of the
-    two trees give each subset's distance pairs, which filter it. A
-    subset that passes is looked up in a per-call memo under the key of
+    The one induced-copy search, routed by ``sup``. A caterpillar's
+    induced subtrees are caterpillars, so when ``sup`` is a catergram
+    and m >= 2 only the targets that are catergrams can occur, and each
+    does exactly when its defining permutation, or any member of its
+    bar set, is a pattern of ``sup``'s. Any other ``sup`` (and m = 1,
+    whose single edge is no catergram) is scanned: the m-edge subsets
+    in combinations order on leaf positions, building nothing. The LCA
+    gap arrays of the two trees give each subset's distance pairs,
+    which filter it against the targets'. A subset that passes is
+    looked up in a per-call memo under the key of
     :func:`_subset_profiles`; only on a miss is the candidate built and
     its canonical form compared with the targets'.
     """
+    m = targets[0].size
+    if m >= 2 and is_catergram(sup):
+        big = catergram_permutation(sup)
+        return any(
+            contains_pattern(big, s) is not None
+            for t in targets
+            if is_catergram(t)
+            for _, s in bar_members(catergram_permutation(t))
+        )
     forms_of: dict[tuple, list[tuple]] = {}
-    for want_pairs, want_form in targets:
-        forms_of.setdefault(want_pairs.pairs, []).append(want_form)
+    for t in targets:
+        forms_of.setdefault(distance_pairs(t).pairs, []).append(canonical_form(t))
     memo: dict[tuple, bool] = {}
-    for subset, pairs, key in _subset_profiles(sup, len(targets[0][0])):
+    for subset, pairs, key in _subset_profiles(sup, m):
         forms = forms_of.get(pairs)
         if forms is None:
             continue

@@ -331,17 +331,15 @@ class RootedBinaryTree:
     # structure predicates
 
     def is_caterpillar(self) -> bool:
-        """True iff the leaf depth multiset is 1, 2, ..., n-2, n-1, n-1.
+        """True iff the internal vertices form a path starting at the root.
 
-        Equivalently: the internal vertices form a path starting at the
-        root. Any tree with 2 or 3 leaves qualifies; a single leaf does
-        not (the shape is only defined from two leaves up).
+        A binary tree with n leaves has n-1 internal vertices, so that
+        holds exactly when some leaf lies at depth n-1. Any tree with 2
+        or 3 leaves qualifies; a single leaf does not (the shape is only
+        defined from two leaves up).
         """
         n = len(self._leaves)
-        if n < 2:
-            return False
-        depths = sorted(self._depth_of[v] for v in self._vertex_of.values())
-        return depths == list(range(1, n - 1)) + [n - 1, n - 1]
+        return n >= 2 and max(self._depth_of) == n - 1
 
     def order_consistent(self, order: Sequence[Label]) -> bool:
         """True iff every internal vertex's leaves form a contiguous block.

@@ -182,14 +182,16 @@ def sorting_cater_search(pi: Permutation):
 def object_scan_induced_copy(sup: Tanglegram, targets) -> bool:
     """The induced-copy scan as first written: it builds the tanglegram
     induced by every m-edge subset, in combinations order, and compares
-    its distance pairs, then its canonical form, with each target's."""
+    its distance pairs, then its canonical form, with those of each
+    target tanglegram."""
     from itertools import combinations
 
-    for subset in combinations(sup.edges, len(targets[0][0])):
+    wanted = [(distance_pairs(t), canonical_form(t)) for t in targets]
+    for subset in combinations(sup.edges, targets[0].size):
         cand = induced_subtanglegram(sup, subset)
         pairs = distance_pairs(cand)
         form = None
-        for want_pairs, want_form in targets:
+        for want_pairs, want_form in wanted:
             if pairs == want_pairs:
                 if form is None:
                     form = canonical_form(cand)

@@ -9,10 +9,16 @@ from collections import Counter
 
 import pytest
 
-from tanglekit import cli, format_tanglegram, rho
+from tanglekit import cli, format_tanglegram, induced_on_left, parse_tanglegram, rho
 from tanglekit.cli import main
 
-from conftest import joined_caterpillars, random_tanglegram, run_cli, svg_leaf_order
+from conftest import (
+    joined_caterpillars,
+    object_scan_induced_copy,
+    random_tanglegram,
+    run_cli,
+    svg_leaf_order,
+)
 
 # the default decider, then the independent cross-check
 BOTH_METHODS = ([], ["--method", "kuratowski"])
@@ -203,6 +209,57 @@ class TestPlanarFuzz:
         assert min(codes[c] for c in (0, 1, 2)) >= 30, codes
 
 
+class TestInducedFuzz:
+    """Seeded mutations of both files of small ``induced`` pairs, in both
+    the three-field form and the catergram shorthand."""
+
+    mutate = TestPlanarFuzz.mutate
+    TOKEN = TestPlanarFuzz.TOKEN
+
+    @staticmethod
+    def parsed(text):
+        try:
+            return parse_tanglegram(text)
+        except ValueError:
+            return None
+
+    def test_exit_codes_and_agreement(self, tmp_path, capsys):
+        rng = random.Random(29)
+        paths = tmp_path / "sub.tg", tmp_path / "sup.tg"
+        codes = Counter()
+        for k in range(400):
+            n = rng.randint(1, 8)
+            m = rng.randint(1, min(n, 6))
+            if k % 3:
+                sup = random_tanglegram(rng, n, planar=k % 2 == 0)
+                sub = (induced_on_left(sup, rng.sample(sorted(sup.left.labels()), m))
+                       if rng.random() < 0.5 else random_tanglegram(rng, m))
+                texts = [format_tanglegram(sub), format_tanglegram(sup)]
+            else:
+                # a subsequence of the sup's entries is contained
+                big = rng.sample(range(1, 10), max(n, 2))
+                small = [big[i] for i in sorted(rng.sample(range(len(big)), m))]
+                if rng.random() < 0.5:
+                    rng.shuffle(small)
+                texts = ["catergram (" + ",".join(map(str, e)) + ")" for e in (small, big)]
+            for i in range(2):
+                for _ in range(rng.choice((0, 0, 0, 1, 2))):
+                    texts[i] = self.mutate(rng, texts[i])
+            for path, text in zip(paths, texts):
+                path.write_text(text + "\n")
+            code = main(["induced", *map(str, paths)])
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2), texts
+            assert "Traceback" not in err, texts
+            sub, sup = map(self.parsed, texts)
+            if sub is not None and sup is not None and sup.size <= 8:
+                want = object_scan_induced_copy(sup, [sub])
+                assert (code, out) == ((0, "true\n") if want else (1, "false\n")), texts
+            codes[code] += 1
+        # contained, not contained and unparseable pairs all occur
+        assert min(codes[c] for c in (0, 1, 2)) >= 30, codes
+
+
 class TestCrossingNumber:
     def test_value_on_stdout(self, crossed_file, capsys):
         assert main(["crossing-number", crossed_file]) == 0
@@ -283,6 +340,16 @@ class TestInduced:
         sub.write_text("((1,2),((3,4),5)) ; ((1,2),((3,4),5)) ; 1:1,2:3,3:2,4:4,5:5\n")
         sup = tmp_path / "sup.tg"
         sup.write_text(format_tanglegram(joined_caterpillars(30)) + "\n")
+        proc = run_cli(["induced", str(sub), str(sup)], timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "false\n", "")
+
+    def test_non_catergram_sub_of_a_large_catergram_answers_at_once(self, tmp_path):
+        # a caterpillar's induced subtrees are caterpillars; a scan would
+        # visit C(200,4) = 6.5e7 subsets
+        sub = tmp_path / "sub.tg"
+        sub.write_text("((1,2),(3,4)) ; ((1,2),(3,4)) ; 1:1,2:2,3:3,4:4\n")
+        sup = tmp_path / "sup.tg"
+        sup.write_text(f"catergram {rho(94)}\n")
         proc = run_cli(["induced", str(sub), str(sup)], timeout=10)
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "false\n", "")
 

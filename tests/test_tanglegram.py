@@ -265,11 +265,10 @@ class TestPositionScan:
                 if m <= sup.size
             ]
             for sub in subs + cut:
-                targets = [(distance_pairs(sub), canonical_form(sub))]
-                want = object_scan_induced_copy(sup, targets)
-                assert _has_induced_copy(sup, targets) == want, (sub, sup)
+                want = object_scan_induced_copy(sup, [sub])
+                assert _has_induced_copy(sup, [sub]) == want, (sub, sup)
             for sub in cut:
-                assert _has_induced_copy(sup, [(distance_pairs(sub), canonical_form(sub))])
+                assert _has_induced_copy(sup, [sub])
 
     def test_every_subset_of_random_tanglegrams(self):
         # a wrong distance pair is silent in the scan: it only turns a
@@ -300,15 +299,61 @@ class TestHeredityFilter:
             subs = [random_tanglegram(rng, m, planar=rng.random() < 0.3) for m in (4, 5)]
             subs += [induced_on_left(sup, rng.sample(labels, m)) for m in (4, 4, 5, 5)]
             for sub in subs:
-                if is_catergram(sub) and is_catergram(sup):
-                    continue
-                want = object_scan_induced_copy(sup, [(distance_pairs(sub), canonical_form(sub))])
+                want = object_scan_induced_copy(sup, [sub])
                 assert is_induced_sub(sub, sup) == want, (sub, sup)
                 seen[is_planar(sub, "kuratowski"), is_planar(sup, "kuratowski"), want] += 1
         # every (sub planar, sup planar) case, with yes and no answers
         # except where heredity rules a yes out
         cases = [(a, b, c) for a in (True, False) for b in (True, False) for c in (True, False)]
         assert {case for case in cases if seen[case]} == set(cases) - {(False, True, True)}, seen
+
+
+class TestCatergramRoute:
+    """A catergram sup is searched by bar-set patterns: only catergram
+    subs can occur in it, and the one-edge sub, which is no catergram,
+    occurs in every sup."""
+
+    @pytest.fixture(scope="class")
+    def catergram_sups(self):
+        rng = random.Random(17)
+        return [
+            catergram(Permutation(rng.sample(range(1, n + 1), n)))
+            for n in (5, 6, 7, 8) * 3
+        ]
+
+    def test_agrees_with_the_object_scan(self, small_tanglegrams, catergram_sups):
+        seen = Counter()
+        for sup in catergram_sups:
+            for m in range(1, 6):
+                for sub in small_tanglegrams[m]:
+                    want = object_scan_induced_copy(sup, [sub])
+                    assert is_induced_sub(sub, sup) == want, (sub, sup)
+                    seen[m, is_catergram(sub), want] += 1
+        # yes at every size and no from size 3 on (the one tanglegram of
+        # size 2 is in every sup), and no non-catergram ever found
+        assert seen[1, False, True] == seen[2, True, True] == len(catergram_sups)
+        for m in range(3, 6):
+            assert seen[m, True, True] and seen[m, True, False], seen
+        assert seen[4, False, False] and seen[5, False, False], seen
+        assert not seen[4, False, True] and not seen[5, False, True], seen
+
+    def test_kuratowski_agrees_with_the_oracle(self, catergram_sups):
+        answers = [is_planar(sup, "kuratowski") for sup in catergram_sups]
+        assert answers == [is_planar(sup, "oracle") for sup in catergram_sups]
+        assert True in answers and False in answers
+
+    def test_the_search_never_solves_the_parity_system(self, monkeypatch):
+        def refuse(t):
+            raise AssertionError("the parity solver was called")
+
+        monkeypatch.setattr("tanglekit.layout._planar_masks", refuse)
+        rng = random.Random(19)
+        for k in range(20):
+            sups = [random_tanglegram(rng, rng.randint(1, 7), planar=k % 2 == 0)]
+            sups.append(catergram(Permutation(rng.sample(range(1, 8), 7))))
+            for sup in sups:
+                is_planar(sup, "kuratowski")
+                _has_induced_copy(sup, excluded_tanglegrams())
 
 
 class TestTextForm:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tanglekit import RootedBinaryTree, caterpillar
+from tanglekit.tanglegram import _ordered_shapes
 
 from conftest import brute_lca_bit, random_nested, tree_shapes, _label_shape
 
@@ -74,6 +75,20 @@ def test_balanced_tree_is_not_caterpillar():
 def test_small_trees_count_as_caterpillars():
     assert caterpillar(2).is_caterpillar()
     assert caterpillar(3).is_caterpillar()
+
+
+def test_caterpillar_rule_on_every_ordered_shape():
+    # against the leaf depth multiset 1, 2, ..., n-2, n-1, n-1; there are
+    # 2**(n-2) ordered caterpillars with n >= 2 leaves
+    for n in range(1, 9):
+        found = 0
+        for shape in _ordered_shapes(n):
+            t = RootedBinaryTree.from_nested(_label_shape(shape, range(1, n + 1)))
+            depths = sorted(t.leaf_depths().values())
+            want = n >= 2 and depths == list(range(1, n - 1)) + [n - 1, n - 1]
+            assert t.is_caterpillar() == want, shape
+            found += want
+        assert found == (2 ** (n - 2) if n >= 2 else 0)
 
 
 def test_order_consistent_accepts_and_rejects():
