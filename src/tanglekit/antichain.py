@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+from .errors import BudgetExceededError
 from .perm import Permutation, bar_members, contains_pattern, pi_seq, restrict, rho, tilde
 from .tanglegram import catergram, is_induced_sub
 
@@ -60,7 +61,8 @@ def verify_antichain(
     of family(j). A found witness is an embedding of the smaller
     catergram into the larger one and fails the report. Pairs are
     visited in ascending (i, j) order; ``pair_timeout`` (seconds per
-    pair) turns an overlong search into BudgetExceededError.
+    pair) turns an overlong search into BudgetExceededError, whose
+    message names the pair and the bar-set member being searched.
     """
     if max_index < 2:
         raise ValueError("need max_index >= 2 to form a pair")
@@ -68,11 +70,15 @@ def verify_antichain(
     checks: list[PatternCheck] = []
     for i in range(1, max_index):
         top = i + 2 if adjacent_only else max_index + 1
+        members = bar_members(perms[i])
         for j in range(i + 1, top):
             deadline = None if pair_timeout is None else time.monotonic() + pair_timeout
-            for tag, sigma in bar_members(perms[i]):
+            for tag, sigma in members:
                 t0 = time.perf_counter()
-                witness = contains_pattern(perms[j], sigma, deadline=deadline)
+                try:
+                    witness = contains_pattern(perms[j], sigma, deadline=deadline)
+                except BudgetExceededError as exc:
+                    raise BudgetExceededError(f"antichain pair ({i},{j}) sigma={tag}: {exc}") from exc
                 rec = PatternCheck(i, j, tag, witness, time.perf_counter() - t0)
                 checks.append(rec)
                 if on_check is not None:
@@ -111,18 +117,21 @@ def verify_chain(
     Two facts per step i: dropping positions 2 and 4 of family(i+1)
     restricts it to exactly tilde(family(i)); and the catergram of
     family(i) is an induced subtanglegram of the catergram of
-    family(i+1), decided through the catergram pattern route.
+    family(i+1), decided through the catergram pattern route. Step i's
+    larger member and catergram are step i+1's smaller ones.
     """
     if max_index < 2:
         raise ValueError("need max_index >= 2 to form a step")
     checks: list[ChainCheck] = []
+    big = family(1)
+    big_cat = catergram(big)
     for i in range(1, max_index):
         t0 = time.perf_counter()
-        small = family(i)
-        big = family(i + 1)
+        small, small_cat, big = big, big_cat, family(i + 1)
+        big_cat = catergram(big)
         positions = [p for p in range(1, len(big) + 1) if p not in (2, 4)]
         restriction_ok = restrict(big, positions) == tilde(small)
-        induced_ok = is_induced_sub(catergram(small), catergram(big))
+        induced_ok = is_induced_sub(small_cat, big_cat)
         rec = ChainCheck(i, restriction_ok, induced_ok, time.perf_counter() - t0)
         checks.append(rec)
         if on_check is not None:

@@ -15,8 +15,9 @@ class InvalidLayoutError(TangleError):
 
 
 class BudgetExceededError(TangleError):
-    """An exhaustive operation was asked to run above its size cap."""
+    """An exhaustive operation was asked to run above its size cap
+    (``cap``), or past its deadline (``cap`` is None)."""
 
-    def __init__(self, message: str, cap: int):
+    def __init__(self, message: str, cap: int | None = None):
         super().__init__(message)
         self.cap = cap

@@ -98,11 +98,17 @@ def standardize(values: "str | Iterable[int]") -> Permutation:
     its rank. Text in the parenthesized form is accepted as well.
     Pattern containment and restriction cannot distinguish a sequence
     from its standardization, so the text interfaces run inputs through
-    this.
+    this. A bijection on 1..n, the usual input, is validated once and
+    kept as it stands; any other sequence is ranked.
     """
     t = _parse_int_tuple(values) if isinstance(values, str) else tuple(map(int, values))
-    if len(set(t)) != len(t):
+    n = len(t)
+    if len(set(t)) != n:
         raise ValueError("values must be pairwise distinct")
+    if n and min(t) == 1 and max(t) == n:  # n distinct values in 1..n
+        pi = object.__new__(Permutation)
+        pi._entries = t
+        return pi
     rank = {v: r for r, v in enumerate(sorted(t), start=1)}
     return Permutation(map(rank.__getitem__, t))
 
@@ -181,7 +187,7 @@ def contains_pattern(
         while p < stop:
             ticks += 1
             if deadline is not None and ticks % 4096 == 0 and time.monotonic() > deadline:
-                raise BudgetExceededError("pattern search ran past its deadline", cap=0)
+                raise BudgetExceededError("pattern search ran past its deadline")
             if lo < text[p] < hi:
                 break
             p += 1

@@ -31,7 +31,7 @@ from .trees import Label, RootedBinaryTree, caterpillar, label_from_token, label
 class Tanglegram:
     """Left tree, right tree, and a bijection between their leaf labels."""
 
-    __slots__ = ("_left", "_right", "_pairs", "_fwd", "_bwd")
+    __slots__ = ("_left", "_right", "_pairs", "_fwd", "_bwd", "_perm")
 
     def __init__(
         self,
@@ -54,6 +54,7 @@ class Tanglegram:
         self._fwd = fwd
         self._bwd = {r: l for l, r in fwd.items()}
         self._pairs = tuple(sorted(fwd.items(), key=lambda kv: label_sort_key(kv[0])))
+        self._perm: Permutation | None = None  # set by catergram()
 
     @property
     def left(self) -> RootedBinaryTree:
@@ -92,11 +93,16 @@ class Tanglegram:
 # catergrams
 
 def catergram(pi: Permutation) -> Tanglegram:
-    """The tanglegram of two distance-labeled caterpillars matched by ``pi``."""
+    """The tanglegram of two distance-labeled caterpillars matched by
+    ``pi``: one shared caterpillar, and ``pi`` kept for
+    :func:`catergram_permutation`."""
     n = len(pi)
     if n < 2:
         raise ValueError("a catergram needs size at least 2")
-    return Tanglegram(caterpillar(n), caterpillar(n), {i: pi(i) for i in range(1, n + 1)})
+    cat = caterpillar(n)
+    t = Tanglegram(cat, cat, zip(range(1, n + 1), pi.entries))
+    t._perm = pi
+    return t
 
 
 def is_catergram(t: Tanglegram) -> bool:
@@ -107,16 +113,10 @@ def _distance_positions(tree: RootedBinaryTree) -> dict[Label, int]:
     # Distance labeling of a caterpillar: the lone leaf at depth i gets
     # index i; the two deepest leaves get n-1 and n in stored order.
     n = tree.n_leaves
-    by_depth: dict[int, list[Label]] = {}
-    for lab, d in tree.leaf_depths().items():
-        by_depth.setdefault(d, []).append(lab)
-    pos: dict[Label, int] = {}
-    for d in range(1, n - 1):
-        (lab,) = by_depth[d]
-        pos[lab] = d
-    deepest = sorted(by_depth[n - 1], key=tree.vertex_of)
-    pos[deepest[0]] = n - 1
-    pos[deepest[1]] = n
+    depth = tree.leaf_depths()
+    pos = {lab: d for lab, d in depth.items() if d < n - 1}
+    a, b = sorted([lab for lab, d in depth.items() if d == n - 1], key=tree.vertex_of)
+    pos[a], pos[b] = n - 1, n
     return pos
 
 
@@ -125,8 +125,11 @@ def catergram_permutation(t: Tanglegram) -> Permutation:
 
     The two deepest leaves on each side can be indexed either way, so
     the result is well defined only up to its bar set; the choice made
-    here is deterministic for a given tree representation.
+    here is deterministic for a given tree representation. A
+    :func:`catergram` returns its own ``pi``, which a read-back would give.
     """
+    if t._perm is not None:
+        return t._perm
     if not is_catergram(t):
         raise ValueError("both trees must be caterpillars")
     left_pos = _distance_positions(t.left)

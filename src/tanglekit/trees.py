@@ -71,7 +71,8 @@ class RootedBinaryTree:
 
     Every walk runs over the preorder vertex tuple, never by recursion,
     so depth does not limit tree size. The leaves below a vertex occupy
-    an interval ``[lo, hi)`` of the stored-order leaf tuple.
+    an interval ``[lo, hi)`` of the stored-order leaf tuple. The
+    canonical string behind ``==`` and ``hash`` is built on first use.
     """
 
     __slots__ = (
@@ -163,11 +164,7 @@ class RootedBinaryTree:
         self._leaves = tuple([label_of[v] for v in leaf_ids])
         self._lo = tuple(lo)
         self._hi = tuple(hi)
-        # canonical string of the unordered tree: children sorted
-        self._canon = self.fold(
-            lambda lab: f"<{'i' if isinstance(lab, int) else 's'}{lab}>",
-            lambda v, a, b: f"({a}{b})" if a <= b else f"({b}{a})",
-        )
+        self._canon: str | None = None
 
     # ------------------------------------------------------------------
     # the two walks every other traversal is built on
@@ -446,13 +443,20 @@ class RootedBinaryTree:
     # ------------------------------------------------------------------
     # equality up to isomorphism of labeled rooted trees
 
+    def _canonical(self) -> str:
+        # canonical string of the unordered tree, children sorted; built on first use
+        if self._canon is None:
+            self._canon = self.fold(lambda lab: f"<{'i' if isinstance(lab, int) else 's'}{lab}>",
+                                    lambda v, a, b: f"({a}{b})" if a <= b else f"({b}{a})")
+        return self._canon
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RootedBinaryTree):
             return NotImplemented
-        return self._canon == other._canon
+        return self._canonical() == other._canonical()
 
     def __hash__(self) -> int:
-        return hash(self._canon)
+        return hash(self._canonical())
 
     def __repr__(self) -> str:
         return f"RootedBinaryTree.from_newick({self.to_newick()!r})"
@@ -468,7 +472,6 @@ def caterpillar(n: int) -> RootedBinaryTree:
     """
     if n < 2:
         raise ValueError("a caterpillar needs at least 2 leaves")
-    nested: Nested = (n - 1, n)
-    for d in range(n - 2, 0, -1):
-        nested = (d, nested)
-    return RootedBinaryTree.from_nested(nested)
+    # preorder ids: spine vertex 2d-2 has children 2d-1 (leaf d) and 2d
+    kids = [(v + 1, v + 2) if v % 2 == 0 else None for v in range(2 * n - 2)] + [None]
+    return RootedBinaryTree(kids, {2 * d - 1: d for d in range(1, n)} | {2 * n - 2: n})

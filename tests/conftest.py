@@ -27,6 +27,7 @@ from tanglekit import (
     is_cater_good,
     layout_permutation,
 )
+from tanglekit.perm import _parse_int_tuple
 
 settings.register_profile(
     "suite",
@@ -108,6 +109,17 @@ def brute_pattern(entries: tuple[int, ...], pattern: tuple[int, ...]):
         if all(vals[rank[a]] < vals[rank[a + 1]] for a in range(m - 1)):
             return tuple(k + 1 for k in combo)
     return None
+
+
+def rank_standardize(values) -> Permutation:
+    """``standardize`` by ranks alone, without its bijection fast path:
+    parse, check that the values are distinct, replace each by its rank
+    and let ``Permutation`` validate the result."""
+    t = _parse_int_tuple(values) if isinstance(values, str) else tuple(map(int, values))
+    if len(set(t)) != len(t):
+        raise ValueError("values must be pairwise distinct")
+    rank = {v: r for r, v in enumerate(sorted(t), start=1)}
+    return Permutation(map(rank.__getitem__, t))
 
 
 def sweep_planar_left_order(t: Tanglegram):

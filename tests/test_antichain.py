@@ -2,6 +2,7 @@
 
 import pytest
 
+from tanglekit import antichain
 from tanglekit import (
     BudgetExceededError,
     Permutation,
@@ -100,8 +101,34 @@ class TestVerifyAntichain:
     def test_tiny_timeout_blows_budget(self):
         # the identity family gives the pattern search nothing to prune
         big = lambda i: Permutation.identity(40 + 10 * i)
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as info:
             verify_antichain(2, family=big, pair_timeout=-1.0)
+        assert info.value.cap is None  # a deadline, not a size cap
+        # the identity itself embeds at once; its hat is the long search
+        assert str(info.value).startswith("antichain pair (1,2) sigma=hat:")
+        assert "deadline" in str(info.value)
+
+    @pytest.mark.parametrize("adjacent_only", [False, True])
+    def test_searches_match_a_per_pair_bar_set(self, monkeypatch, adjacent_only):
+        # the bar set is built once per i; the searches, their order and
+        # the records must be those of building it for every pair
+        calls = []
+
+        def recording(text, pattern, **kwargs):
+            calls.append((text, pattern, kwargs))
+            return contains_pattern(text, pattern, **kwargs)
+
+        monkeypatch.setattr(antichain, "contains_pattern", recording)
+        report = verify_antichain(6, adjacent_only=adjacent_only,
+                                  family=lambda i: Permutation.identity(1 + i))
+        want_calls, want_records = [], []
+        for i in range(1, 6):
+            for j in range(i + 1, i + 2 if adjacent_only else 7):
+                for tag, sigma in bar_members(Permutation.identity(1 + i)):
+                    want_calls.append((Permutation.identity(1 + j), sigma, {"deadline": None}))
+                    want_records.append((i, j, tag, contains_pattern(want_calls[-1][0], sigma)))
+        assert calls == want_calls
+        assert [(c.i, c.j, c.sigma, c.witness) for c in report.checks] == want_records
 
 
 class TestVerifyChain:
@@ -132,6 +159,14 @@ class TestVerifyChain:
         seen = []
         report = verify_chain(3, on_check=seen.append)
         assert tuple(seen) == report.checks
+
+    def test_builds_each_member_and_catergram_once(self, monkeypatch):
+        built, cats = [], []
+        monkeypatch.setattr(antichain, "catergram", lambda p: cats.append(p) or catergram(p))
+        report = verify_chain(5, family=lambda i: built.append(i) or pi_seq(i))
+        assert report.passed
+        assert built == [1, 2, 3, 4, 5]
+        assert cats == [pi_seq(i) for i in range(1, 6)]
 
 
 class TestCrossFamily:

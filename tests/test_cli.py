@@ -95,6 +95,14 @@ class TestVerify:
     def test_max_too_small_is_a_usage_error(self, capsys):
         assert main(["verify", "antichain", "--max", "1"]) == 2
 
+    def test_antichain_timeout_names_the_deadline(self, capsys):
+        # rho(1) against rho(8) is the first search long enough to reach
+        # the periodic deadline check
+        assert main(["verify", "antichain", "--max", "8", "--timeout", "0"]) == 3
+        err = capsys.readouterr().err.strip()
+        assert err == ("budget exceeded: antichain pair (1,8) sigma=base: "
+                       "pattern search ran past its deadline")
+
 
 class TestPlanar:
     def test_planar_true(self, planar_file, capsys):

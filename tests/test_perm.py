@@ -1,6 +1,7 @@
 """Permutations: parsing, restriction, pattern search, bar operations."""
 
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,7 +23,7 @@ from tanglekit import (
     upside_down,
 )
 
-from conftest import brute_pattern, permutation_entries
+from conftest import brute_pattern, permutation_entries, rank_standardize
 
 
 class TestPermutation:
@@ -89,6 +90,31 @@ class TestStandardize:
     def test_rejects_repeats(self):
         with pytest.raises(ValueError):
             standardize((1, 2, 1))
+
+    def test_matches_the_rank_path(self):
+        # differential test of the bijection fast path against the
+        # conftest reference, on results and on error type and message
+        rng = random.Random(41)
+        inputs: list = [p for n in range(1, 7) for p in permutations(range(1, n + 1))]
+        for _ in range(400):
+            n = rng.randint(1, 10)
+            inputs.append(tuple(rng.sample(range(-3, n + 2), n)))  # gaps, 0, negatives
+            inputs.append(tuple(rng.sample(range(-50, 50), n)))
+        inputs += [(0, 2), (-1, 2), (1, 3), (2, 3), (0, 1, 2), (1, 1, 3), (2, 1, 2)]
+        inputs += [s for p in inputs[:200] for s in (
+            "(" + ",".join(map(str, p)) + ")", " ( " + ", ".join(map(str, p)) + " ) ")]
+        inputs += [(), [], "()", "( )", "", "1,2,3", "(1,2", "(1,,2)", "(1,2,1)", "(a,1)"]
+
+        def outcome(f, values):
+            try:
+                got = f(values)
+            except Exception as exc:
+                return type(exc), str(exc)
+            assert type(got) is Permutation
+            return got.entries, str(got), hash(got)
+
+        for values in inputs:
+            assert outcome(standardize, values) == outcome(rank_standardize, values), values
 
     def test_containment_is_blind_to_standardization(self):
         # the whole point of accepting loose sequences at the boundary
@@ -185,8 +211,9 @@ class TestContainsPattern:
         # a fruitless search over a long host accumulates enough steps
         # to hit the periodic deadline check
         p = Permutation(tuple(range(1, 101)))
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as info:
             contains_pattern(p, Permutation((2, 1)), deadline=0.0)
+        assert info.value.cap is None  # a deadline, not a size cap
 
 
 class TestBarOperations:

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -101,6 +102,19 @@ class TestCatergram:
         rec = catergram_permutation(catergram(pi))
         assert rec in bar_set(pi)
         assert equal(catergram(rec), catergram(pi))
+
+    def test_remembered_permutation_matches_the_read_back(self):
+        # catergram() keeps pi; a parsed copy of the same tanglegram has
+        # to read it back from its trees
+        rng = random.Random(13)
+        perms = [Permutation(p) for n in range(2, 7) for p in permutations(range(1, n + 1))]
+        perms += [Permutation(rng.sample(range(1, n + 1), n)) for n in range(7, 60)]
+        for pi in perms:
+            t = catergram(pi)
+            copy = parse_tanglegram(format_tanglegram(t))
+            assert t.left is t.right and copy.left is not copy.right
+            assert catergram_permutation(t) is pi
+            assert catergram_permutation(copy) == pi
 
     def test_permutation_requires_caterpillars(self):
         bal = RootedBinaryTree.from_nested(((1, 2), (3, 4)))

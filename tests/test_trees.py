@@ -1,6 +1,7 @@
 """Rooted binary trees: construction, traversal, orders, induction."""
 
 import random
+from itertools import count
 
 import pytest
 from hypothesis import given, strategies as st
@@ -91,6 +92,22 @@ def test_caterpillar_rule_on_every_ordered_shape():
         assert found == (2 ** (n - 2) if n >= 2 else 0)
 
 
+def test_caterpillar_table_matches_the_nested_build():
+    # the direct preorder table against from_nested of the nested form
+    for n in range(2, 65):
+        nested = (n - 1, n)
+        for d in range(n - 2, 0, -1):
+            nested = (d, nested)
+        want = RootedBinaryTree.from_nested(nested)
+        got = caterpillar(n)
+        assert got.to_newick() == want.to_newick()
+        assert got.leaves == want.leaves
+        assert list(got.splits()) == list(want.splits())
+        assert got.lca_gaps() == want.lca_gaps()
+        assert got.leaf_depths() == want.leaf_depths()
+        assert got == want and hash(got) == hash(want)
+
+
 def test_order_consistent_accepts_and_rejects():
     t = caterpillar(4)
     assert t.order_consistent((1, 2, 3, 4))
@@ -154,6 +171,52 @@ def test_equality_ignores_child_order():
     assert a == b
     assert hash(a) == hash(b)
     assert a != caterpillar(3)  # different labels
+
+
+def _shuffled(rng, nested):
+    # the same unordered tree, each vertex's children swapped at random
+    if not isinstance(nested, tuple):
+        return nested
+    a, b = _shuffled(rng, nested[0]), _shuffled(rng, nested[1])
+    return (a, b) if rng.random() < 0.5 else (b, a)
+
+
+def _padded(rng, nested, extra):
+    # the tree with extra leaves hung next to random vertices, which
+    # ``induced`` on the original labels suppresses again
+    if rng.random() < 0.3:
+        nested = (nested, next(extra)) if rng.random() < 0.5 else (next(extra), nested)
+    if not isinstance(nested, tuple):
+        return nested
+    return (_padded(rng, nested[0], extra), _padded(rng, nested[1], extra))
+
+
+def test_equality_and_hash_agree_across_constructors():
+    # the canonical string is built lazily; every way of building one
+    # unordered tree must give equal trees with equal hashes
+    rng = random.Random(5)
+    groups = []
+    for n in range(2, 25):
+        labels = list(range(1, n + 1))
+        for nested in (random_nested(rng, labels), random_nested(rng, labels)):
+            extra = (f"x{k}" for k in count())
+            ways = [
+                RootedBinaryTree.from_nested(nested),
+                RootedBinaryTree.from_nested(_shuffled(rng, nested)),
+                RootedBinaryTree.from_newick(RootedBinaryTree.from_nested(nested).to_newick()),
+                RootedBinaryTree.from_nested(_padded(rng, nested, extra)).induced(labels),
+            ]
+            groups.append(ways)
+        groups.append([caterpillar(n), caterpillar(n + 3).induced(labels),
+                       RootedBinaryTree.from_newick(caterpillar(n).to_newick())])
+    for ways in groups:
+        assert ways[0]._canon is None  # nothing compared yet
+        assert all(t == ways[0] and hash(t) == hash(ways[0]) for t in ways), ways[0]
+    # distinct trees stay apart, in == and in hash
+    distinct = list({ways[0]: None for ways in groups})
+    fresh = [RootedBinaryTree.from_newick(t.to_newick()) for t in distinct]  # hashed first
+    assert len({hash(t) for t in fresh}) == len(distinct) > 40
+    assert all(a != b for i, a in enumerate(distinct) for b in distinct[i + 1:])
 
 
 def test_subtree_labels():
