@@ -29,10 +29,10 @@ O(right vertices it touches).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import BudgetExceededError, InvalidLayoutError
-from .perm import Permutation, rho
+from .perm import Permutation, count_inversions, rho
 from .tanglegram import Tanglegram, _has_induced_copy, catergram
 from .trees import Label, RootedBinaryTree
 
@@ -70,43 +70,12 @@ def layout_permutation(layout: Layout) -> Permutation:
     """Left position k maps to the right position of k's partner."""
     rpos = {lab: k for k, lab in enumerate(layout.right_order, start=1)}
     t = layout.tanglegram
-    return Permutation(rpos[t.right_partner(lab)] for lab in layout.left_order)
+    return Permutation._of(tuple(rpos[t.right_partner(lab)] for lab in layout.left_order))
 
 
 def count_crossings(layout: Layout) -> int:
     """Number of interleaving matching-edge pairs."""
     return count_inversions(layout_permutation(layout).entries)
-
-
-def _merge_count(a: list[int], b: list[int]) -> tuple[list[int], int]:
-    """Merge two ascending lists; also count the pairs (x in a, y in b)
-    with x > y."""
-    merged: list[int] = []
-    inv = ia = ib = 0
-    na, nb = len(a), len(b)
-    while ia < na and ib < nb:
-        if a[ia] <= b[ib]:
-            merged.append(a[ia])
-            ia += 1
-        else:
-            merged.append(b[ib])
-            ib += 1
-            inv += na - ia
-    merged += a[ia:]
-    merged += b[ib:]
-    return merged, inv
-
-
-def count_inversions(seq: Sequence[int]) -> int:
-    """Inversion count by bottom-up merge counting."""
-    runs = [[x] for x in seq]
-    inv = 0
-    while len(runs) > 1:
-        pairs = [_merge_count(a, b) for a, b in zip(runs[::2], runs[1::2])]
-        inv += sum(c for _, c in pairs)
-        # an odd run out moves up unmerged
-        runs = [merged for merged, _ in pairs] + runs[2 * len(pairs):]
-    return inv
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Permutations in one-line notation, pattern containment, and the
-two-element swap operators hat and tilde together with the bar set
-they generate, and the two built-in permutation families.
+"""Permutations in one-line notation, pattern containment, inversion
+counts, the two-element swap operators hat and tilde together with the
+bar set they generate, and the two built-in permutation families.
 
 A permutation of size n maps positions 1..n to values 1..n. The text
 form is the image sequence in parentheses, e.g. ``(2,3,4,1)``. Any
@@ -33,6 +33,14 @@ class Permutation:
             raise ValueError(f"entries must be a bijection on 1..{n}")
         self._entries = t
 
+    @classmethod
+    def _of(cls, entries: tuple[int, ...]) -> "Permutation":
+        """Wrap a tuple already known to be a bijection on 1..n, unchecked:
+        the constructor for permutations derived from valid ones."""
+        pi = object.__new__(cls)
+        pi._entries = entries
+        return pi
+
     @property
     def entries(self) -> tuple[int, ...]:
         return self._entries
@@ -50,7 +58,7 @@ class Permutation:
         inv = [0] * len(self._entries)
         for i, v in enumerate(self._entries, start=1):
             inv[v - 1] = i
-        return Permutation(inv)
+        return Permutation._of(tuple(inv))
 
     def __call__(self, i: int) -> int:
         if not 1 <= i <= len(self._entries):
@@ -98,28 +106,58 @@ def standardize(values: "str | Iterable[int]") -> Permutation:
     its rank. Text in the parenthesized form is accepted as well.
     Pattern containment and restriction cannot distinguish a sequence
     from its standardization, so the text interfaces run inputs through
-    this. A bijection on 1..n, the usual input, is validated once and
-    kept as it stands; any other sequence is ranked.
+    this. Once the values are known to be distinct, a bijection on 1..n,
+    the usual input, is kept as it stands; any other sequence is ranked.
     """
     t = _parse_int_tuple(values) if isinstance(values, str) else tuple(map(int, values))
     n = len(t)
+    if not n:
+        raise ValueError("a permutation must be non-empty")
     if len(set(t)) != n:
         raise ValueError("values must be pairwise distinct")
-    if n and min(t) == 1 and max(t) == n:  # n distinct values in 1..n
-        pi = object.__new__(Permutation)
-        pi._entries = t
-        return pi
-    rank = {v: r for r, v in enumerate(sorted(t), start=1)}
-    return Permutation(map(rank.__getitem__, t))
+    if min(t) != 1 or max(t) != n:  # n distinct values, not yet 1..n
+        t = tuple(map(_ranks(t).__getitem__, t))
+    return Permutation._of(t)
+
+
+def _ranks(values: Iterable[int]) -> dict[int, int]:
+    """Rank 1, 2, ... of each distinct value, smallest first."""
+    return {v: r for r, v in enumerate(sorted(set(values)), start=1)}
 
 
 def _as_entries(seq: "Permutation | Sequence[int]") -> tuple[int, ...]:
-    if isinstance(seq, Permutation):
-        return seq.entries
-    t = tuple(int(x) for x in seq)
-    if sorted(t) != list(range(1, len(t) + 1)):
-        raise ValueError(f"sequence must be a permutation of 1..{len(t)}")
-    return t
+    return (seq if isinstance(seq, Permutation) else Permutation(seq)).entries
+
+
+def _larger_before(seq: Sequence[int]) -> list[int]:
+    """For each entry of an int sequence, how many earlier entries are
+    strictly larger; repeats are allowed.
+
+    A Fenwick tree over the ranks of the distinct values counts the
+    entries seen so far at or below each rank, so the whole pass takes
+    O(n log n).
+    """
+    rank = _ranks(seq)
+    size = len(rank)
+    tree = [0] * (size + 1)
+    out = []
+    for seen, v in enumerate(seq):
+        r = i = rank[v]
+        at_most = 0
+        while i:
+            at_most += tree[i]
+            i &= i - 1
+        out.append(seen - at_most)
+        while r <= size:
+            tree[r] += 1
+            r += r & -r
+    return out
+
+
+def count_inversions(seq: Sequence[int]) -> int:
+    """Pairs of positions a < b with ``seq[a] > seq[b]``; for a layout's
+    permutation, its crossing count."""
+    return sum(_larger_before(seq))
 
 
 def restrict(pi: Permutation, positions: Iterable[int]) -> Permutation:
@@ -129,9 +167,7 @@ def restrict(pi: Permutation, positions: Iterable[int]) -> Permutation:
         raise ValueError("the position set must be non-empty")
     if a[0] < 1 or a[-1] > len(pi):
         raise ValueError(f"positions must lie in 1..{len(pi)}")
-    images = [pi.entries[p - 1] for p in a]
-    rank = {v: r for r, v in enumerate(sorted(images), start=1)}
-    return Permutation(rank[v] for v in images)
+    return standardize(pi.entries[p - 1] for p in a)
 
 
 def contains_pattern(
@@ -209,9 +245,8 @@ def hat(pi: Permutation) -> Permutation:
     """Swap the images at the last two positions. Needs n >= 2."""
     if len(pi) < 2:
         raise ValueError("hat needs a permutation of size at least 2")
-    e = list(pi.entries)
-    e[-2], e[-1] = e[-1], e[-2]
-    return Permutation(e)
+    e = pi.entries
+    return Permutation._of(e[:-2] + (e[-1], e[-2]))
 
 
 def tilde(pi: Permutation) -> Permutation:
@@ -220,7 +255,7 @@ def tilde(pi: Permutation) -> Permutation:
     if n < 2:
         raise ValueError("tilde needs a permutation of size at least 2")
     swap = {n - 1: n, n: n - 1}
-    return Permutation(swap.get(v, v) for v in pi.entries)
+    return Permutation._of(tuple(swap.get(v, v) for v in pi.entries))
 
 
 def star(pi: Permutation) -> Permutation:
@@ -249,7 +284,7 @@ def bar_set(pi: Permutation) -> frozenset[Permutation]:
 def upside_down(pi: Permutation) -> Permutation:
     """Replace every entry j by n+1-j."""
     n = len(pi)
-    return Permutation(n + 1 - v for v in pi.entries)
+    return Permutation._of(tuple(n + 1 - v for v in pi.entries))
 
 
 def rho(i: int) -> Permutation:
@@ -262,7 +297,7 @@ def rho(i: int) -> Permutation:
     for j in range(5, 9 + 2 * i):
         img[j - 1] = j + 2 if j % 2 else j - 2
     img[n - 4 : n] = [10 + 2 * i, 11 + 2 * i, 12 + 2 * i, 8 + 2 * i]
-    return Permutation(img)
+    return Permutation._of(tuple(img))
 
 
 def pi_seq(i: int) -> Permutation:
@@ -288,12 +323,8 @@ def is_cater_good(seq: "Permutation | Sequence[int]") -> bool:
     """
     s = _as_entries(seq)
     n = len(s)
-    pos = {v: k for k, v in enumerate(s)}
-    for i in range(1, n + 1):
-        p = pos[i]
-        if any(v > i for v in s[:p]) and any(v > i for v in s[p + 1 :]):
-            return False
-    return True
+    # the n - v entries larger than v lie all after it or all before it
+    return all(c in (0, n - v) for v, c in zip(s, _larger_before(s)))
 
 
 def entries_preceded_by_larger(
@@ -301,8 +332,4 @@ def entries_preceded_by_larger(
 ) -> tuple[int, ...]:
     """Entries with at least ``at_least`` larger entries before them, ascending."""
     s = _as_entries(seq)
-    out = []
-    for k, v in enumerate(s):
-        if sum(1 for w in s[:k] if w > v) >= at_least:
-            out.append(v)
-    return tuple(sorted(out))
+    return tuple(sorted(v for v, c in zip(s, _larger_before(s)) if c >= at_least))

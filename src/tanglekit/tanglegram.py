@@ -136,7 +136,7 @@ def catergram_permutation(t: Tanglegram) -> Permutation:
     right_pos = _distance_positions(t.right)
     label_at = {p: lab for lab, p in left_pos.items()}
     n = t.size
-    return Permutation(right_pos[t.right_partner(label_at[i])] for i in range(1, n + 1))
+    return Permutation._of(tuple(right_pos[t.right_partner(label_at[i])] for i in range(1, n + 1)))
 
 
 # ----------------------------------------------------------------------
@@ -414,14 +414,16 @@ def parse_tanglegram(text: str) -> Tanglegram:
 # exhaustive enumeration at small sizes
 
 @cache
-def _ordered_shapes(n: int) -> list:
+def _shapes(n: int) -> list:
+    # One shape per unordered tree shape: a pair (a, b) with |a| <= |b|,
+    # and a listed no later than b when the sizes are equal.
     if n == 1:
         return [None]
     return [
         (a, b)
-        for k in range(1, n)
-        for a in _ordered_shapes(k)
-        for b in _ordered_shapes(n - k)
+        for k in range(1, n // 2 + 1)
+        for at, a in enumerate(_shapes(k))
+        for b in _shapes(n - k)[at if 2 * k == n else 0 :]
     ]
 
 
@@ -437,15 +439,16 @@ def _tree_from_shape(shape, start: int = 1) -> tuple:
 def enumerate_tanglegrams(n: int) -> list[Tanglegram]:
     """One representative per tanglegram of size n, sorted by canonical form.
 
-    Exhausts ordered tree shapes and all matchings, deduplicating via
-    the canonical form. Meant for small n only; callers guard the size.
+    Takes one tree per unordered shape on each side and every matching,
+    deduplicating via the canonical form. Meant for small n only;
+    callers guard the size.
     """
     if n < 1:
         raise ValueError("size must be at least 1")
     from itertools import permutations as iter_perms
 
     embedded = []
-    for shape in _ordered_shapes(n):
+    for shape in _shapes(n):
         nested, _ = _tree_from_shape(shape)
         tree = RootedBinaryTree.from_nested(nested)
         embedded.append((tree, *_canonical_embeddings(tree)))

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,33 @@ def pair_scan_inversions(seq) -> int:
     """Inversion count by scanning every pair of positions."""
     n = len(seq)
     return sum(1 for a in range(n) for b in range(a + 1, n) if seq[a] > seq[b])
+
+
+def pair_scan_larger_before(seq) -> list[int]:
+    """For each entry, how many earlier entries are strictly larger, by
+    direct scan."""
+    return [sum(1 for w in seq[:k] if w > v) for k, v in enumerate(seq)]
+
+
+def scan_cater_good(entries) -> bool:
+    """``is_cater_good`` by a quadratic scan: for every value i, the
+    larger entries do not sit on both sides of i."""
+    n = len(entries)
+    pos = {v: k for k, v in enumerate(entries)}
+    for i in range(1, n + 1):
+        p = pos[i]
+        if any(v > i for v in entries[:p]) and any(v > i for v in entries[p + 1 :]):
+            return False
+    return True
+
+
+def scan_preceded_by_larger(entries, at_least: int = 3) -> tuple[int, ...]:
+    """``entries_preceded_by_larger`` by a quadratic scan."""
+    out = []
+    for k, v in enumerate(entries):
+        if sum(1 for w in entries[:k] if w > v) >= at_least:
+            out.append(v)
+    return tuple(sorted(out))
 
 
 def pair_scan_crossings(layout: Layout) -> int:
@@ -299,6 +327,20 @@ def tree_shapes(draw, n_leaves: int):
         return None
     k = draw(st.integers(1, n_leaves - 1))
     return (draw(tree_shapes(k)), draw(tree_shapes(n_leaves - k)))
+
+
+@cache
+def ordered_shapes(n: int) -> list:
+    """Every ordered rooted binary tree shape with n leaves, as nested
+    pairs with None for a leaf; Catalan(n - 1) of them."""
+    if n == 1:
+        return [None]
+    return [
+        (a, b)
+        for k in range(1, n)
+        for a in ordered_shapes(k)
+        for b in ordered_shapes(n - k)
+    ]
 
 
 def _label_shape(shape, labels):

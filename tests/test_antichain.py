@@ -169,6 +169,25 @@ class TestVerifyChain:
         assert cats == [pi_seq(i) for i in range(1, 6)]
 
 
+def test_verifiers_never_recheck_derived_permutations(monkeypatch):
+    # the families, the bar set, restriction and the catergram read-back
+    # all derive from valid permutations, so none goes through the
+    # checking constructor
+    calls = []
+    checked = Permutation.__init__
+
+    def counting(self, entries):
+        calls.append(entries)
+        checked(self, entries)
+
+    monkeypatch.setattr(Permutation, "__init__", counting)
+    assert verify_chain(12).passed
+    assert verify_antichain(8).passed
+    assert calls == []
+    Permutation((2, 1))  # outside input is still counted
+    assert calls == [(2, 1)]
+
+
 class TestCrossFamily:
     def test_incomparable_family_members_avoid_each_other(self):
         # containment fails in both directions, not only upward

@@ -13,9 +13,12 @@ from tanglekit import cli, format_tanglegram, induced_on_left, parse_tanglegram,
 from tanglekit.cli import main
 
 from conftest import (
+    brute_pattern,
     joined_caterpillars,
+    naive_crossing_number,
     object_scan_induced_copy,
     random_tanglegram,
+    rank_standardize,
     run_cli,
     svg_leaf_order,
 )
@@ -266,6 +269,101 @@ class TestInducedFuzz:
             codes[code] += 1
         # contained, not contained and unparseable pairs all occur
         assert min(codes[c] for c in (0, 1, 2)) >= 30, codes
+
+
+def fuzz_tanglegram_text(rng, k: int, max_size: int) -> str:
+    """A small tanglegram in the three-field form or, every third case,
+    the catergram shorthand, mutated up to twice."""
+    n = rng.randint(1, max_size)
+    if k % 3:
+        text = format_tanglegram(random_tanglegram(rng, n, planar=k % 2 == 0))
+    else:
+        text = "catergram (" + ",".join(map(str, rng.sample(range(1, 10), n))) + ")"
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        text = TestPlanarFuzz().mutate(rng, text)
+    return text
+
+
+class TestPatternFuzz:
+    """Seeded mutations of small ``pattern`` inputs, loose sequences and
+    bijections alike, so both ``standardize`` paths are taken."""
+
+    mutate = TestPlanarFuzz.mutate
+    TOKEN = TestPlanarFuzz.TOKEN
+
+    def test_exit_codes_and_witness(self, capsys):
+        rng = random.Random(31)
+        codes = Counter()
+        for _ in range(400):
+            texts = []
+            for size in (rng.randint(1, 9), rng.randint(1, 4)):
+                low = rng.choice((1, 1, -3))
+                values = rng.sample(range(low, low + size + rng.choice((0, 0, 3))), size)
+                text = "(" + ",".join(map(str, values)) + ")"
+                for _ in range(rng.choice((0, 0, 0, 1, 2))):
+                    text = self.mutate(rng, text)
+                texts.append(text)
+            code = main(["pattern", f"--pi={texts[0]}", f"--rho={texts[1]}"])
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2), texts
+            assert "Traceback" not in err, texts
+            try:
+                pi, pat = map(rank_standardize, texts)
+            except ValueError:
+                assert code == 2, texts
+            else:
+                want = brute_pattern(pi.entries, pat.entries)
+                answer = (1, "none\n") if want is None else (0, "{" + ",".join(map(str, want)) + "}\n")
+                assert (code, out) == answer, texts
+            codes[code] += 1
+        # contained, not contained and unparseable inputs all occur
+        assert min(codes[c] for c in (0, 1, 2)) >= 20, codes
+
+
+class TestCrossingNumberFuzz:
+    """Seeded mutations of small ``crossing-number`` inputs, with a size
+    cap low enough to be blown."""
+
+    def test_exit_codes_and_value(self, tmp_path, capsys):
+        rng = random.Random(37)
+        path = tmp_path / "fuzz.tg"
+        codes = Counter()
+        for k in range(240):
+            text = fuzz_tanglegram_text(rng, k, 8)
+            path.write_text(text + "\n")
+            code = main(["crossing-number", str(path), "--cap", "5"])
+            out, err = capsys.readouterr()
+            assert code in (0, 2, 3), text  # the command never answers 1
+            assert "Traceback" not in err, text
+            if code == 0:
+                assert out == f"{naive_crossing_number(parse_tanglegram(text))}\n", text
+            codes[code] += 1
+        # answered, unparseable and over-the-cap inputs all occur
+        assert min(codes[c] for c in (0, 2, 3)) >= 20, codes
+
+
+class TestLayoutFuzz:
+    """Seeded mutations of small ``layout`` inputs in every emission
+    format, with a size cap low enough to be blown."""
+
+    def test_exit_codes_and_output(self, tmp_path, capsys):
+        rng = random.Random(43)
+        path = tmp_path / "fuzz.tg"
+        codes = Counter()
+        for k in range(240):
+            text = fuzz_tanglegram_text(rng, k, 9)
+            path.write_text(text + "\n")
+            emit = rng.choice(("text", "svg", "tikz"))
+            code = main(["layout", str(path), "--cap", "5", "--emit", emit])
+            out, err = capsys.readouterr()
+            assert code in (0, 2, 3), text  # the command never answers 1
+            assert "Traceback" not in err, text
+            if code == 0 and emit == "svg":
+                ET.fromstring(out)
+            assert bool(out) == (code == 0), text
+            codes[code] += 1
+        # drawn, unparseable and non-planar over-the-cap inputs all occur
+        assert min(codes[c] for c in (0, 2, 3)) >= 20, codes
 
 
 class TestCrossingNumber:

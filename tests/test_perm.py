@@ -8,22 +8,47 @@ from hypothesis import given, strategies as st
 
 from tanglekit import (
     BudgetExceededError,
+    Layout,
     Permutation,
     bar_members,
     bar_set,
+    catergram,
+    catergram_permutation,
     contains_pattern,
     entries_preceded_by_larger,
+    format_tanglegram,
     hat,
     is_cater_good,
     is_unimodal,
+    layout_permutation,
+    parse_tanglegram,
+    pi_seq,
     restrict,
+    rho,
     standardize,
     star,
     tilde,
     upside_down,
 )
+from tanglekit.perm import _larger_before
 
-from conftest import brute_pattern, permutation_entries, rank_standardize
+from conftest import (
+    brute_pattern,
+    pair_scan_larger_before,
+    permutation_entries,
+    rank_standardize,
+    scan_cater_good,
+    scan_preceded_by_larger,
+)
+
+
+def small_and_seeded_perms(max_all: int, seed: int, max_seeded: int) -> list[Permutation]:
+    """Every permutation of size 1..max_all, then one seeded permutation
+    of each larger size up to max_seeded."""
+    rng = random.Random(seed)
+    out = [Permutation(p) for n in range(1, max_all + 1) for p in permutations(range(1, n + 1))]
+    out += [Permutation(rng.sample(range(1, n + 1), n)) for n in range(max_all + 1, max_seeded + 1)]
+    return out
 
 
 class TestPermutation:
@@ -324,3 +349,48 @@ class TestPrecededByLarger:
         assert entries_preceded_by_larger(seq, at_least=1) == (1, 2)
         assert entries_preceded_by_larger(seq, at_least=2) == (1,)
         assert entries_preceded_by_larger(seq, at_least=3) == ()
+
+
+class TestLargerBefore:
+    @given(st.lists(st.integers(-6, 6), max_size=40))
+    def test_matches_a_pair_scan(self, seq):
+        # a narrow value range, so repeats are common
+        assert _larger_before(seq) == pair_scan_larger_before(seq)
+
+    def test_shape_predicates_match_the_quadratic_scans(self):
+        for p in small_and_seeded_perms(7, 61, 60):
+            assert is_cater_good(p) == scan_cater_good(p.entries), p
+            assert is_cater_good(p.entries) == scan_cater_good(p.entries), p
+            for at_least in (0, 1, 2, 3, 5):
+                want = scan_preceded_by_larger(p.entries, at_least)
+                assert entries_preceded_by_larger(p, at_least) == want, (p, at_least)
+
+    @pytest.mark.parametrize("predicate", [is_unimodal, is_cater_good, entries_preceded_by_larger])
+    def test_non_permutations_get_the_constructor_message(self, predicate):
+        with pytest.raises(ValueError, match=r"^entries must be a bijection on 1\.\.3$"):
+            predicate((1, 2, 4))
+        with pytest.raises(ValueError, match="^a permutation must be non-empty$"):
+            predicate(())
+
+
+class TestDerivedPermutations:
+    def test_every_derived_permutation_is_a_valid_one(self):
+        # permutations built from valid ones skip the constructor's
+        # check; the check, run afterwards, must find nothing to reject
+        rng = random.Random(67)
+        derived = [f(i) for i in range(1, 12) for f in (rho, pi_seq)]
+        for p in small_and_seeded_perms(6, 67, 40):
+            n = len(p)
+            derived += [p.inverse(), upside_down(p)]
+            derived.append(restrict(p, rng.sample(range(1, n + 1), rng.randint(1, n))))
+            if n < 2:
+                continue
+            derived += [hat(p), tilde(p), star(p)]
+            copy = parse_tanglegram(format_tanglegram(catergram(p)))
+            derived.append(catergram_permutation(copy))
+            left_order = copy.left.leaf_order(rng.randrange(1 << copy.left.internal_count))
+            right_order = copy.right.leaf_order(rng.randrange(1 << copy.right.internal_count))
+            derived.append(layout_permutation(Layout(copy, left_order, right_order)))
+        for x in derived:
+            assert type(x.entries) is tuple
+            assert Permutation(x.entries) == x, x

@@ -32,10 +32,11 @@ from tanglekit import (
     parse_tanglegram,
     restrict,
 )
-from tanglekit.tanglegram import _has_induced_copy, _subset_profiles
+from tanglekit.tanglegram import _has_induced_copy, _shapes, _subset_profiles
 
 from conftest import (
     object_scan_induced_copy,
+    ordered_shapes,
     permutation_entries,
     random_tanglegram,
     tanglegrams,
@@ -468,6 +469,20 @@ class TestEnumeration:
         assert [tanglegram_count(n) for n in range(1, 8)] == [1, 1, 2, 13, 114, 1509, 25595]
         for n, reps in small_tanglegrams.items():
             assert len(reps) == tanglegram_count(n)
+
+    def test_one_shape_per_unordered_shape(self):
+        # the enumeration's shapes against the ordered ones, up to
+        # swapping children: each unordered shape exactly once
+        def unordered(shape):
+            if shape is None:
+                return ""
+            return "(" + ",".join(sorted(map(unordered, shape))) + ")"
+
+        for n in range(1, 10):
+            got = [unordered(s) for s in _shapes(n)]
+            assert len(set(got)) == len(got)
+            assert set(got) == {unordered(s) for s in ordered_shapes(n)}
+        assert [len(_shapes(n)) for n in range(1, 8)] == [1, 1, 1, 2, 3, 6, 11]
 
     def test_representatives_are_pairwise_unequal(self):
         reps = enumerate_tanglegrams(4)

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tanglekit import RootedBinaryTree, caterpillar
-from tanglekit.tanglegram import _ordered_shapes
 
-from conftest import brute_lca_bit, random_nested, tree_shapes, _label_shape
+from conftest import brute_lca_bit, ordered_shapes, random_nested, tree_shapes, _label_shape
 
 
 def test_from_nested_builds_balanced_four():
@@ -83,7 +82,7 @@ def test_caterpillar_rule_on_every_ordered_shape():
     # 2**(n-2) ordered caterpillars with n >= 2 leaves
     for n in range(1, 9):
         found = 0
-        for shape in _ordered_shapes(n):
+        for shape in ordered_shapes(n):
             t = RootedBinaryTree.from_nested(_label_shape(shape, range(1, n + 1)))
             depths = sorted(t.leaf_depths().values())
             want = n >= 2 and depths == list(range(1, n - 1)) + [n - 1, n - 1]
