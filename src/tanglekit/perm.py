@@ -11,8 +11,10 @@ text interfaces accept such sequences.
 
 from __future__ import annotations
 
+import json
+import math
+import re
 import time
-from bisect import bisect_left, insort
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
@@ -86,6 +88,11 @@ class Permutation:
         return f"Permutation({self._entries})"
 
 
+# A body of ASCII digits, minus signs, commas and spaces alone: the JSON
+# decoder reads most such lists faster than int() does one by one
+_PLAIN_BODY = re.compile(r"[-0-9, ]*")
+
+
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
     s = text.strip()
     if not (s.startswith("(") and s.endswith(")")):
@@ -93,6 +100,11 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
     body = s[1:-1].strip()
     if not body:
         raise ValueError("a permutation must be non-empty")
+    if _PLAIN_BODY.fullmatch(body):
+        try:
+            return tuple(json.loads("[" + body + "]"))
+        except ValueError:  # e.g. "01", "1,,2", or too many digits: int() decides
+            pass
     try:
         return tuple(map(int, body.split(",")))  # int() strips spaces itself
     except ValueError:
@@ -170,6 +182,87 @@ def restrict(pi: Permutation, positions: Iterable[int]) -> Permutation:
     return standardize(pi.entries[p - 1] for p in a)
 
 
+def _embed(text: Sequence[int], pat: Sequence[int], deadline: float | None) -> list[int] | None:
+    """The lexicographically least embedding of ``pat`` in ``text`` as
+    0-based positions, or None. Both are bijections on 1..len, and the
+    pattern is no longer than the text.
+
+    ``deadline`` is an optional time.monotonic() cutoff, checked once
+    per 4096 positions tried; crossing it raises BudgetExceededError.
+    """
+    n, m = len(text), len(pat)
+
+    # Pattern step k needs a text value strictly between its tightest
+    # smaller and larger earlier entries, found by deleting the values
+    # from a linked list over 0..m+1, last step first: what is left
+    # around a step's value are the earlier ones. Unconstrained sides
+    # point at the sentinel slots m and m + 1 of ``vals``, which hold the
+    # bounds 0 and n + 1. The pattern values strictly between a step's
+    # and its neighbours' need text values of their own inside the
+    # window, which narrows it by that many on each side.
+    index_of = [0] * (m + 2)
+    for k, v in enumerate(pat):
+        index_of[v] = k
+    index_of[0], index_of[m + 1] = m, m + 1
+    below = list(range(-1, m + 1))
+    above = list(range(1, m + 3))
+    steps = [None] * m
+    for k in range(m - 1, -1, -1):
+        v = pat[k]
+        a, b = below[v], above[v]
+        # (lower ref, its pad, upper ref, its pad, end of the scan)
+        steps[k] = (index_of[a], v - a - 1, index_of[b], b - v - 1, n - m + k + 1)
+        above[a], below[b] = b, a
+
+    # Backtracking with an explicit cursor: ``chosen[k]`` is the text
+    # position of pattern step k. Positions are tried left to right at
+    # every step, so the first full embedding is the least one.
+    chosen = [0] * m
+    vals = [0] * m + [0, n + 1]
+    tried, check_at = 0, (4096 if deadline is not None else math.inf)
+    k, p = 0, 0
+    while True:
+        lo_ref, lo_pad, hi_ref, hi_pad, stop = steps[k]
+        lo = vals[lo_ref] + lo_pad
+        hi = vals[hi_ref] - hi_pad
+        while p < stop:
+            if lo < text[p] < hi:
+                break
+            p += 1
+        if p < stop:
+            chosen[k] = p
+            vals[k] = text[p]
+            if k + 1 == m:
+                return chosen
+            k += 1
+            p += 1
+        elif k == 0:
+            return None
+        else:
+            k -= 1
+            p = chosen[k] + 1
+            # since step k last moved, step k + 1 has tried each
+            # position from p to its stop once
+            tried += stop - p
+            if tried >= check_at:
+                check_at += 4096
+                if time.monotonic() > deadline:
+                    raise BudgetExceededError("pattern search ran past its deadline")
+
+
+def pattern_occurs(pi: Permutation, rho: Permutation, *, deadline: float | None = None) -> bool:
+    """Whether ``rho`` is a pattern of ``pi``, without the witness.
+
+    Reversing both sequences keeps the answer, so the search runs right
+    to left. On the families here that side refutes sooner: bar-set
+    members differ in their last entries, which a left-to-right search
+    reaches only after embedding nearly the whole pattern. ``deadline``
+    is as for :func:`contains_pattern`.
+    """
+    text, pat = pi.entries, rho.entries
+    return len(pat) <= len(text) and _embed(text[::-1], pat[::-1], deadline) is not None
+
+
 def contains_pattern(
     pi: Permutation,
     rho: Permutation,
@@ -179,66 +272,18 @@ def contains_pattern(
     """Least position set A (lexicographically) with ``restrict(pi, A) == rho``.
 
     Returns None when ``rho`` is not a pattern of ``pi``; a pattern
-    longer than the text is simply not contained. The search walks
-    candidate positions left to right and keeps, for each prefix of the
-    pattern, the tightest value window the next entry must fall in, so
-    the first full embedding found is the lexicographically least one.
+    longer than the text is simply not contained. Existence is decided
+    right to left by :func:`pattern_occurs`; only on a yes does the
+    left-to-right search run, whose first full embedding is the least
+    witness.
 
-    ``deadline`` is an optional time.monotonic() cutoff; crossing it
-    raises BudgetExceededError.
+    ``deadline`` is an optional time.monotonic() cutoff, checked
+    periodically by both searches; crossing it raises
+    BudgetExceededError.
     """
-    text = pi.entries
-    pat = rho.entries
-    n, m = len(text), len(pat)
-    if m > n:
+    if not pattern_occurs(pi, rho, deadline=deadline):
         return None
-
-    # For pattern step k: index of the tightest smaller / larger earlier
-    # entry; unconstrained sides point at the sentinel slots m and m + 1
-    # of ``vals``, which hold the bounds 0 and n + 1. ``seen`` holds the
-    # earlier values in order, so both neighbours are one bisection away.
-    index_of = [0] * (m + 1)
-    lo_ref = [m] * m
-    hi_ref = [m + 1] * m
-    seen: list[int] = []
-    for k, v in enumerate(pat):
-        at = bisect_left(seen, v)
-        if at:
-            lo_ref[k] = index_of[seen[at - 1]]
-        if at < k:
-            hi_ref[k] = index_of[seen[at]]
-        index_of[v] = k
-        insort(seen, v)
-
-    # Backtracking with an explicit cursor: ``chosen[k]`` is the text
-    # position of pattern step k. Positions are tried left to right at
-    # every step, so the first full embedding is the least one.
-    chosen = [0] * m
-    vals = [0] * m + [0, n + 1]
-    ticks = 0
-    k, p = 0, 0
-    while True:
-        lo, hi = vals[lo_ref[k]], vals[hi_ref[k]]
-        stop = n - m + k + 1
-        while p < stop:
-            ticks += 1
-            if deadline is not None and ticks % 4096 == 0 and time.monotonic() > deadline:
-                raise BudgetExceededError("pattern search ran past its deadline")
-            if lo < text[p] < hi:
-                break
-            p += 1
-        if p < stop:
-            chosen[k] = p
-            vals[k] = text[p]
-            if k + 1 == m:
-                return tuple(q + 1 for q in chosen)
-            k += 1
-            p += 1
-        elif k == 0:
-            return None
-        else:
-            k -= 1
-            p = chosen[k] + 1
+    return tuple(q + 1 for q in _embed(pi.entries, rho.entries, deadline))
 
 
 def hat(pi: Permutation) -> Permutation:

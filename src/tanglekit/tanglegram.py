@@ -24,7 +24,7 @@ from functools import cache
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .perm import Permutation, bar_members, contains_pattern, standardize
+from .perm import Permutation, bar_members, pattern_occurs, standardize
 from .trees import Label, RootedBinaryTree, caterpillar, label_from_token, label_sort_key
 
 
@@ -354,7 +354,7 @@ def _has_induced_copy(sup: Tanglegram, targets: Sequence[Tanglegram]) -> bool:
     if m >= 2 and is_catergram(sup):
         big = catergram_permutation(sup)
         return any(
-            contains_pattern(big, s) is not None
+            pattern_occurs(big, s)
             for t in targets
             if is_catergram(t)
             for _, s in bar_members(catergram_permutation(t))

@@ -139,6 +139,59 @@ def brute_pattern(entries: tuple[int, ...], pattern: tuple[int, ...]):
     return None
 
 
+def plain_pattern_search(entries: tuple[int, ...], pattern: tuple[int, ...]):
+    """Least witness (1-based) of a pattern in a text, or None, by a
+    left-to-right search whose value windows are bounded by the earlier
+    entries alone, found by bisection: no padding, no deadline."""
+    from bisect import bisect_left, insort
+
+    n, m = len(entries), len(pattern)
+    if m > n:
+        return None
+    index_of = {}
+    lo_ref, hi_ref = [m] * m, [m + 1] * m
+    seen: list[int] = []
+    for k, v in enumerate(pattern):
+        at = bisect_left(seen, v)
+        if at:
+            lo_ref[k] = index_of[seen[at - 1]]
+        if at < k:
+            hi_ref[k] = index_of[seen[at]]
+        index_of[v] = k
+        insort(seen, v)
+    chosen, vals = [0] * m, [0] * m + [0, n + 1]
+    k, p = 0, 0
+    while True:
+        lo, hi, stop = vals[lo_ref[k]], vals[hi_ref[k]], n - m + k + 1
+        while p < stop and not lo < entries[p] < hi:
+            p += 1
+        if p < stop:
+            chosen[k], vals[k] = p, entries[p]
+            if k + 1 == m:
+                return tuple(q + 1 for q in chosen)
+            k, p = k + 1, p + 1
+        elif k == 0:
+            return None
+        else:
+            k -= 1
+            p = chosen[k] + 1
+
+
+def int_parse_tuple(text: str) -> tuple[int, ...]:
+    """``perm._parse_int_tuple`` without its JSON fast path: every comma
+    separated item goes through int()."""
+    s = text.strip()
+    if not (s.startswith("(") and s.endswith(")")):
+        raise ValueError(f"permutation text must be parenthesized: {text!r}")
+    body = s[1:-1].strip()
+    if not body:
+        raise ValueError("a permutation must be non-empty")
+    try:
+        return tuple(map(int, body.split(",")))
+    except ValueError:
+        raise ValueError(f"bad permutation text {text!r}") from None
+
+
 def rank_standardize(values) -> Permutation:
     """``standardize`` by ranks alone, without its bijection fast path:
     parse, check that the values are distinct, replace each by its rank

@@ -99,8 +99,10 @@ class TestVerifyAntichain:
         }
 
     def test_tiny_timeout_blows_budget(self):
-        # the identity family gives the pattern search nothing to prune
-        big = lambda i: Permutation.identity(40 + 10 * i)
+        # hat(identity(100)) differs from identity(200) only in its last
+        # two entries, so the search tries about 100^2 / 2 positions
+        # before it refutes it, past the periodic deadline check
+        big = lambda i: Permutation.identity(100 * i)
         with pytest.raises(BudgetExceededError) as info:
             verify_antichain(2, family=big, pair_timeout=-1.0)
         assert info.value.cap is None  # a deadline, not a size cap

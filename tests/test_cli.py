@@ -9,7 +9,16 @@ from collections import Counter
 
 import pytest
 
-from tanglekit import cli, format_tanglegram, induced_on_left, parse_tanglegram, rho
+from tanglekit import (
+    Permutation,
+    cli,
+    contains_pattern,
+    format_tanglegram,
+    induced_on_left,
+    parse_tanglegram,
+    restrict,
+    rho,
+)
 from tanglekit.cli import main
 
 from conftest import (
@@ -99,11 +108,11 @@ class TestVerify:
         assert main(["verify", "antichain", "--max", "1"]) == 2
 
     def test_antichain_timeout_names_the_deadline(self, capsys):
-        # rho(1) against rho(8) is the first search long enough to reach
-        # the periodic deadline check
-        assert main(["verify", "antichain", "--max", "8", "--timeout", "0"]) == 3
+        # hat(rho(1)) against rho(14) is the first search long enough to
+        # reach the periodic deadline check
+        assert main(["verify", "antichain", "--max", "14", "--timeout", "0"]) == 3
         err = capsys.readouterr().err.strip()
-        assert err == ("budget exceeded: antichain pair (1,8) sigma=base: "
+        assert err == ("budget exceeded: antichain pair (1,14) sigma=hat: "
                        "pattern search ran past its deadline")
 
 
@@ -436,6 +445,21 @@ class TestPattern:
 
     def test_repeated_values_rejected(self, capsys):
         assert main(["pattern", "--pi", "(1,2,2)", "--rho", "(2,1)"]) == 2
+
+    def test_a_low_first_entry_does_not_stall_the_search(self):
+        # text 1 then a shuffle of 2..n: a search that bounds its windows
+        # by the earlier entries alone tries the 2 of (2,3,1) at value 1
+        # and exhausts every later entry before it moves on, O(n^2) and
+        # many seconds at n = 20000; padding the window by the pattern
+        # values still to place rules value 1 out at once
+        rng = random.Random(21)
+        n = 20000
+        entries = (1, *rng.sample(range(2, n + 1), n - 1))
+        text = "(" + ",".join(map(str, entries)) + ")"
+        proc = run_cli(["pattern", "--pi", text, "--rho", "(2,3,1)"], timeout=5)
+        want = contains_pattern(Permutation(entries), Permutation((2, 3, 1)))
+        assert restrict(Permutation(entries), want) == Permutation((2, 3, 1))
+        assert (proc.returncode, proc.stdout) == (0, "{" + ",".join(map(str, want)) + "}\n")
 
 
 class TestInduced:

@@ -1,6 +1,8 @@
 """Permutations: parsing, restriction, pattern search, bar operations."""
 
 import random
+import sys
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -22,6 +24,7 @@ from tanglekit import (
     is_unimodal,
     layout_permutation,
     parse_tanglegram,
+    pattern_occurs,
     pi_seq,
     restrict,
     rho,
@@ -30,12 +33,14 @@ from tanglekit import (
     tilde,
     upside_down,
 )
-from tanglekit.perm import _larger_before
+from tanglekit.perm import _larger_before, _parse_int_tuple
 
 from conftest import (
     brute_pattern,
+    int_parse_tuple,
     pair_scan_larger_before,
     permutation_entries,
+    plain_pattern_search,
     rank_standardize,
     scan_cater_good,
     scan_preceded_by_larger,
@@ -89,6 +94,36 @@ class TestPermutation:
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             Permutation.parse(bad)
+
+    def test_fast_parse_matches_the_int_path(self):
+        # the JSON fast path must accept, reject and word its errors
+        # exactly as int() item by item does, also on the inputs that
+        # only int() reads or only JSON would read
+        many = "1" * (sys.get_int_max_str_digits() + 1)
+        inputs = [
+            "(2,3,1)", " ( 3 , -2 ,1 ) ", "(-0,1)", "(0)", "(00)", "(-01)", "(01,2)",
+            "(+1,2)", "(1_0,2)", "(\u0661,\u0662)", "(\uff11,2)", "(1,\t2)", "(\t1,2)",
+            "(1\n,2)", "(1\xa0,2)", "(1,2,)", "(,1)", "(1,,2)", "(,)", "(- 1,2)",
+            "(1 2)", "(1-2)", "(--1)", "(-)", "(1.0,2)", "(1e3)", "(true)", "(NaN)",
+            "([1],2)", f"({many},1)", f"({many[1:]},1)", "(1,2", "()", "( )",
+        ]
+
+        def outcome(values):
+            try:
+                got = _parse_int_tuple(values)
+            except Exception as exc:
+                return type(exc), str(exc)
+            return got, [type(v) for v in got]
+
+        def reference(values):
+            try:
+                got = int_parse_tuple(values)
+            except Exception as exc:
+                return type(exc), str(exc)
+            return got, [type(v) for v in got]
+
+        for values in inputs:
+            assert outcome(values) == reference(values), values
 
     def test_inverse(self):
         p = Permutation((2, 3, 5, 1, 4))
@@ -231,6 +266,53 @@ class TestContainsPattern:
             pattern = tuple(rng.sample(range(1, m + 1), m))
             got = contains_pattern(Permutation(host), Permutation(pattern))
             assert got == brute_pattern(host, pattern), (host, pattern)
+
+    def test_both_searches_match_brute_force_up_to_size_5(self):
+        # every (text, pattern) pair of sizes 1..5, so m = n and m > n
+        # come up as well
+        perms = [p for n in range(1, 6) for p in permutations(range(1, n + 1))]
+        for host in perms:
+            text = Permutation(host)
+            for pattern in perms:
+                want = brute_pattern(host, pattern)
+                pat = Permutation(pattern)
+                assert pattern_occurs(text, pat) == (want is not None), (host, pattern)
+                assert contains_pattern(text, pat) == want, (host, pattern)
+
+    @pytest.mark.parametrize("family, found", [(rho, 0), (pi_seq, 91)])
+    def test_family_witnesses_match_the_plain_search(self, family, found):
+        # every bar-set member of a family member against every later
+        # member up to index 14: rho is an antichain, and each earlier
+        # pi_seq embeds in a later one through one member of its bar set
+        members = {i: family(i) for i in range(1, 15)}
+        witnesses = 0
+        for i in range(1, 14):
+            for _, sigma in bar_members(members[i]):
+                for j in range(i + 1, 15):
+                    got = contains_pattern(members[j], sigma)
+                    assert got == plain_pattern_search(members[j].entries, sigma.entries), (i, j)
+                    witnesses += got is not None
+        assert witnesses == found
+
+    def test_decision_agrees_with_the_witness_on_seeded_cases(self):
+        # half the patterns are cut from the text, the others are drawn
+        # at random and mostly not contained
+        rng = random.Random(53)
+        answers = Counter()
+        for _ in range(2000):
+            n = rng.randint(1, 20)
+            host = tuple(rng.sample(range(1, n + 1), n))
+            m = rng.randint(1, 8)
+            if m <= n and rng.random() < 0.5:
+                pat = standardize([host[q] for q in sorted(rng.sample(range(n), m))])
+            else:
+                pat = Permutation(rng.sample(range(1, m + 1), m))
+            pi = Permutation(host)
+            got = contains_pattern(pi, pat)
+            assert (got is not None) == pattern_occurs(pi, pat), (host, pat)
+            assert got == plain_pattern_search(host, pat.entries), (host, pat)
+            answers[got is not None] += 1
+        assert min(answers.values()) >= 500, answers
 
     def test_deadline_already_passed(self):
         # a fruitless search over a long host accumulates enough steps
