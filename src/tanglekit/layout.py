@@ -19,17 +19,21 @@ catergram to its four forbidden permutation patterns and scans any other
 tanglegram, and never calls the parity solver.
 
 The exhaustive sweep behind the crossing number and the crossing-minimal
-layouts visits all 2^(n-1) left embeddings. It reads the same O(n^2)
-tabulation of matching-edge pairs as the parity system, once per
-tanglegram, to find how flipping each left swap bit changes the crossing
-count at each right vertex; each further left mask then costs amortized
-O(right vertices it touches).
+layouts reads the same O(n^2) tabulation of matching-edge pairs as the
+parity system, once per tanglegram, to find how flipping each left swap
+bit changes the crossing count at each right vertex. Flipping every swap
+bit on both sides mirrors both leaf orders and keeps every crossing, so
+it visits only the 2^(n-2) left masks whose top bit is clear, in
+Gray-code order: each step flips one left bit and costs O(right vertices
+that bit touches), and the bits touching the fewest flip most often.
+Ties go to the smallest left mask; a right bit flips only when that
+strictly lowers the count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError, InvalidLayoutError
 from .perm import Permutation, count_inversions, rho
@@ -37,6 +41,10 @@ from .tanglegram import Tanglegram, _has_induced_copy, catergram
 from .trees import Label, RootedBinaryTree
 
 DEFAULT_SIZE_CAP = 12
+
+# Left swap bits that the sweep's step lists cover; the bits above them
+# are walked by a loop over those lists, so memory stays at 2**_BLOCK_BITS.
+_BLOCK_BITS = 12
 
 
 @dataclass(frozen=True)
@@ -127,7 +135,7 @@ def _pair_table(t: Tanglegram) -> Iterator[tuple[int, dict[int, int], dict[int, 
         yield u, crossed, uncrossed
 
 
-def _sweep(t: Tanglegram) -> tuple[int, int, int]:
+def _sweep(t: Tanglegram, *, any_zero: bool = False) -> tuple[int, int, int]:
     """Fewest crossings, the smallest left swap mask that reaches it, and
     the right swap mask that goes with it.
 
@@ -138,47 +146,76 @@ def _sweep(t: Tanglegram) -> tuple[int, int, int]:
     w flips only when that strictly helps, so ties keep stored orders.
     Two edges whose left ends split at u trade places exactly when u
     flips, so each c_w is its value at mask 0 plus one fixed delta per
-    set left bit. Left masks go in increasing order; the step into a
-    mask depends only on its lowest set bit, so each step applies one
-    precomputed list of changes to the c_w it touches. Only a strictly
-    better count replaces the incumbent, and a zero count ends the sweep.
+    set left bit.
+
+    Flipping every swap bit on both sides mirrors both leaf orders and
+    keeps every crossing, so a left mask and its complement cost the
+    same, and the smallest optimal mask has its top bit (nl - 1) clear.
+    Only those 2^(nl-1) masks are walked, in Gray-code order: each step
+    flips one left bit and adds or subtracts that bit's own deltas. The
+    bits that touch the fewest right vertices flip most often. A lower
+    total replaces the incumbent, and so does an equal total with a
+    smaller mask. A zero total at mask 0 ends the sweep; one met later
+    hands the tabulated pairs to the parity solver, whose answer is the
+    smallest zero-crossing mask. With ``any_zero``, which serves callers
+    that want only the count, a zero met later is returned as it is.
     """
-    left, right = t.left, t.right
-    pairs = [0] * right.internal_count  # |A_w||B_w|
-    for w, lo, mid, hi in right.splits():
-        pairs[w] = (mid - lo) * (hi - mid)
-    # c_w at left mask 0, and flip[u][w]: what setting u's bit adds to c_w
-    cross = [0] * right.internal_count
-    flip: list[dict[int, int]] = []
-    for _, crossed, uncrossed in _pair_table(t):
+    nl, nr = t.left.internal_count, t.right.internal_count
+    # y_w = 2 c_w - |A_w||B_w| at left mask 0, so that the right side's
+    # best is (sum of |A_w||B_w| - sum of |y_w|) / 2; moves[u]: what
+    # setting u's bit adds to each y_w it changes
+    y = [0] * nr
+    for w, lo, mid, hi in t.right.splits():
+        y[w] = (mid - lo) * (mid - hi)
+    whole = -sum(y)
+    rows = list(_pair_table(t))
+    moves: list[list[tuple[int, int]]] = []
+    for _, crossed, uncrossed in rows:
         delta = dict(uncrossed)
         for w, c in crossed.items():
-            cross[w] += c
+            y[w] += c + c
             delta[w] = delta.get(w, 0) - c
-        flip.append(delta)
-    # the step into a mask sets its lowest set bit and clears every bit below
-    steps: list[list[tuple[int, int]]] = []
-    below = [0] * right.internal_count  # what the bits below this one add
-    for delta in flip:
-        step = [-d for d in below]
-        for w, d in delta.items():
-            step[w] += d
-            below[w] += d
-        steps.append([(w, d) for w, d in enumerate(step) if d])
-
-    total = sum(c if c + c <= s else s - c for c, s in zip(cross, pairs))
-    best, best_mask, best_cross = total, 0, cross[:]
-    for mask in range(1, 1 << left.internal_count) if best else ():
-        for w, d in steps[(mask & -mask).bit_length() - 1]:
-            c, s = cross[w], pairs[w]
-            cross[w] = new = c + d
-            total += (new if new + new <= s else s - new) - (c if c + c <= s else s - c)
-        if total < best:
-            best, best_mask, best_cross = total, mask, cross[:]
-            if not best:
-                break
-    right_mask = sum(1 << w for w, (c, s) in enumerate(zip(best_cross, pairs)) if s - c < c)
-    return best, best_mask, right_mask
+        moves.append([(w, d + d) for w, d in delta.items() if d])
+    best = sum(map(abs, y))  # the score: higher is better, ``whole`` is planar
+    best_mask = 0
+    if best < whole:
+        score, mask, y0 = best, 0, y[:]
+        order = sorted(range(nl - 1), key=lambda u: len(moves[u]))
+        low, high = order[:_BLOCK_BITS], order[_BLOCK_BITS:]
+        # Gray-code steps over the low bits, and the same steps undone in
+        # reverse: steps(k) = steps(k-1), set bit k, undo(k-1), and
+        # undo(k) = steps(k-1), clear bit k, undo(k-1)
+        walk: list[tuple[int, list[tuple[int, int]]]] = []
+        undo: list[tuple[int, list[tuple[int, int]]]] = []
+        for u in low:
+            clear = [(w, -d) for w, d in moves[u]]
+            walk, undo = walk + [(1 << u, moves[u])] + undo, walk + [(1 << u, clear)] + undo
+        for i in range(1 << len(high)):
+            steps = undo if i & 1 else walk
+            if i:  # high bit p flips; it ends up set when bit p + 1 of i is 0
+                p = (i & -i).bit_length() - 1
+                u = high[p]
+                d_list = [(w, -d) for w, d in moves[u]] if i >> p & 2 else moves[u]
+                steps = [(1 << u, d_list)] + steps
+            for bit, changes in steps:
+                mask ^= bit
+                for w, d in changes:
+                    old = y[w]
+                    y[w] = new = old + d
+                    score += abs(new) - abs(old)
+                if score >= best and (score > best or mask < best_mask):
+                    if score == whole:
+                        if any_zero:
+                            return 0, mask, sum(1 << w for w, v in enumerate(y) if v > 0)
+                        return (0, *_solve_parity(nl, nr, rows))
+                    best, best_mask = score, mask
+        y = y0
+        for u in range(nl):
+            if best_mask >> u & 1:
+                for w, d in moves[u]:
+                    y[w] += d
+    right_mask = sum(1 << w for w, v in enumerate(y) if v > 0)
+    return (whole - best) // 2, best_mask, right_mask
 
 
 def _planar_masks(t: Tanglegram) -> tuple[int, int] | None:
@@ -191,39 +228,58 @@ def _planar_masks(t: Tanglegram) -> tuple[int, int] | None:
     that contradicts those before it leaves no solution; a (u, w) with
     pairs in both states is the shortest such case. Otherwise fixing one
     bit of a component fixes all of them, and the smallest mask sets the
-    highest left bit of each component to 0: the first zero-crossing
-    layout of the sweep, found in O(n^2).
+    highest left bit of each component to 0: the zero-crossing layout
+    that the sweep returns, found in O(n^2).
     """
-    nl = t.left.internal_count
-    parent = list(range(nl + t.right.internal_count))  # right bit w is nl + w
+    return _solve_parity(t.left.internal_count, t.right.internal_count, _pair_table(t))
+
+
+def _solve_parity(
+    nl: int, nr: int, rows: Iterable[tuple[int, dict[int, int], dict[int, int]]]
+) -> tuple[int, int] | None:
+    """:func:`_planar_masks` over the rows of :func:`_pair_table`, for
+    nl left and nr right swap bits."""
+    parent = list(range(nl + nr))  # right bit w is nl + w
     parity = [0] * len(parent)  # a bit's value xor its parent's
-
-    def find(v: int) -> tuple[int, int]:
-        """v's root and v's value xor the root's; compresses the path."""
-        path = []
-        while parent[v] != v:
-            path.append(v)
-            v = parent[v]
-        acc = 0
-        for x in reversed(path):
-            acc ^= parity[x]
-            parent[x], parity[x] = v, acc
-        return v, acc
-
-    for u, crossed, uncrossed in _pair_table(t):
-        ru, pu = find(u)
+    size = [1] * len(parent)  # union by size keeps every path O(log n) long
+    for u, crossed, uncrossed in rows:
+        ru, pu = u, 0  # u's root, and u's value xor the root's
+        while parent[ru] != ru:
+            pu ^= parity[ru]
+            ru = parent[ru]
         for counts, state in ((crossed, 1), (uncrossed, 0)):
             for w in counts:
-                rw, pw = find(nl + w)
-                if rw != ru:
-                    parent[rw], parity[rw] = ru, pu ^ pw ^ state
-                elif pu ^ pw != state:
-                    return None
-    bits = [find(v) for v in range(len(parent))]
+                # rw: w's root; p: the xor of the two roots' values that
+                # x_u xor y_w = state forces
+                rw, p = nl + w, pu ^ state
+                while parent[rw] != rw:  # halving the path on the way
+                    up = parent[rw]
+                    parent[rw] = parent[up]
+                    parity[rw] ^= parity[up]
+                    p ^= parity[rw]
+                    rw = parent[rw]
+                if ru == rw:
+                    if p:
+                        return None
+                elif size[ru] < size[rw]:
+                    parent[ru], parity[ru] = rw, p
+                    size[rw] += size[ru]
+                    ru, pu = rw, pu ^ p
+                else:
+                    parent[rw], parity[rw] = ru, p
+                    size[ru] += size[rw]
+    roots, values = [], []  # each bit's root, and its value xor the root's
+    for v in range(len(parent)):
+        r, p = v, 0
+        while parent[r] != r:
+            p ^= parity[r]
+            r = parent[r]
+        roots.append(r)
+        values.append(p)
     # the root's value that sets its component's highest left bit to 0:
     # left bits come in increasing order, so the last one per root wins
-    root_value = {r: p for r, p in bits[:nl]}
-    values = [root_value[r] ^ p for r, p in bits]
+    root_value = dict(zip(roots[:nl], values[:nl]))
+    values = [root_value[r] ^ p for r, p in zip(roots, values)]
     left_mask = sum(1 << u for u in range(nl) if values[u])
     return left_mask, sum(1 << w for w, v in enumerate(values[nl:]) if v)
 
@@ -235,14 +291,14 @@ def _mask_layout(t: Tanglegram, left_mask: int, right_mask: int) -> Layout:
 def crossing_number(t: Tanglegram, *, cap: int = DEFAULT_SIZE_CAP) -> int:
     """Minimum crossings over all layouts; exhaustive, guarded by ``cap``."""
     _check_cap(t, cap, "crossing_number")
-    return _sweep(t)[0]
+    return _sweep(t, any_zero=True)[0]
 
 
 def min_crossing_layout(t: Tanglegram, *, cap: int = DEFAULT_SIZE_CAP) -> tuple[Layout, int]:
     """A crossing-minimal layout and its count.
 
-    Ties go to the smallest swap-mask pair: the sweep keeps the first
-    left order with the fewest crossings, and the right side prefers
+    Ties go to the smallest swap-mask pair: the sweep keeps the smallest
+    left swap mask with the fewest crossings, and the right side prefers
     stored orientations.
     """
     _check_cap(t, cap, "min_crossing_layout")

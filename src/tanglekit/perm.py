@@ -299,8 +299,10 @@ def tilde(pi: Permutation) -> Permutation:
     n = len(pi)
     if n < 2:
         raise ValueError("tilde needs a permutation of size at least 2")
-    swap = {n - 1: n, n: n - 1}
-    return Permutation._of(tuple(swap.get(v, v) for v in pi.entries))
+    e = list(pi.entries)
+    i, j = e.index(n - 1), e.index(n)
+    e[i], e[j] = n, n - 1
+    return Permutation._of(tuple(e))
 
 
 def star(pi: Permutation) -> Permutation:

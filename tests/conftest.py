@@ -28,6 +28,7 @@ from tanglekit import (
     is_cater_good,
     layout_permutation,
 )
+from tanglekit.layout import _pair_table
 from tanglekit.perm import _parse_int_tuple
 
 settings.register_profile(
@@ -125,6 +126,54 @@ def per_mask_sweep(t: Tanglegram):
     return best
 
 
+def incremental_sweep(t: Tanglegram) -> tuple[int, int, int]:
+    """Fewest crossings, the smallest left swap mask that reaches it and
+    its right swap mask, by the crossing sweep as first written: every
+    left mask in increasing order, each step applying one precomputed
+    list of changes to the per-right-vertex crossing counts.
+
+    The step into a mask sets its lowest set bit and clears every bit
+    below, so it depends only on that bit. Only a strictly better count
+    replaces the incumbent, and a zero count ends the sweep. Right bits
+    flip only when that strictly helps.
+    """
+    left, right = t.left, t.right
+    pairs = [0] * right.internal_count  # |A_w||B_w|
+    for w, lo, mid, hi in right.splits():
+        pairs[w] = (mid - lo) * (hi - mid)
+    # c_w at left mask 0, and flip[u][w]: what setting u's bit adds to c_w
+    cross = [0] * right.internal_count
+    flip: list[dict[int, int]] = []
+    for _, crossed, uncrossed in _pair_table(t):
+        delta = dict(uncrossed)
+        for w, c in crossed.items():
+            cross[w] += c
+            delta[w] = delta.get(w, 0) - c
+        flip.append(delta)
+    steps: list[list[tuple[int, int]]] = []
+    below = [0] * right.internal_count  # what the bits below this one add
+    for delta in flip:
+        step = [-d for d in below]
+        for w, d in delta.items():
+            step[w] += d
+            below[w] += d
+        steps.append([(w, d) for w, d in enumerate(step) if d])
+
+    total = sum(c if c + c <= s else s - c for c, s in zip(cross, pairs))
+    best, best_mask, best_cross = total, 0, cross[:]
+    for mask in range(1, 1 << left.internal_count) if best else ():
+        for w, d in steps[(mask & -mask).bit_length() - 1]:
+            c, s = cross[w], pairs[w]
+            cross[w] = new = c + d
+            total += (new if new + new <= s else s - new) - (c if c + c <= s else s - c)
+        if total < best:
+            best, best_mask, best_cross = total, mask, cross[:]
+            if not best:
+                break
+    right_mask = sum(1 << w for w, (c, s) in enumerate(zip(best_cross, pairs)) if s - c < c)
+    return best, best_mask, right_mask
+
+
 def brute_pattern(entries: tuple[int, ...], pattern: tuple[int, ...]):
     """First position set in ``itertools.combinations`` order (the
     lexicographically least one) whose restriction is the pattern, or None."""
@@ -190,6 +239,14 @@ def int_parse_tuple(text: str) -> tuple[int, ...]:
         return tuple(map(int, body.split(",")))
     except ValueError:
         raise ValueError(f"bad permutation text {text!r}") from None
+
+
+def lookup_tilde(entries) -> tuple[int, ...]:
+    """``tilde`` as first written: every entry looked up in a table that
+    swaps the two largest values."""
+    n = len(entries)
+    swap = {n - 1: n, n: n - 1}
+    return tuple(swap.get(v, v) for v in entries)
 
 
 def rank_standardize(values) -> Permutation:

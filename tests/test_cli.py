@@ -392,6 +392,18 @@ class TestCrossingNumber:
         p.write_text("catergram (2,1)\ncatergram (1,2)\n")
         assert main(["crossing-number", str(p)]) == 2
 
+    @pytest.mark.parametrize("text,left,right", [
+        ("1 ; 1 ; 1:1", "(1)", "(1)"),
+        ("(a,b) ; (a,b) ; a:b,b:a", "(a,b)", "(b,a)"),
+    ])
+    def test_sizes_with_at_most_one_left_swap(self, text, left, right, tmp_path, capsys):
+        p = tmp_path / "small.tg"
+        p.write_text(text + "\n")
+        assert main(["crossing-number", str(p)]) == 0
+        assert capsys.readouterr().out == "0\n"
+        assert main(["layout", str(p), "--emit", "text"]) == 0
+        assert capsys.readouterr().out == f"left: {left}\nright: {right}\ncrossings: 0\n"
+
 
 class TestLayout:
     def test_text_emission(self, planar_file, capsys):
@@ -518,6 +530,11 @@ class TestCensus:
             "crossings 1: 36",
             "crossings 2: 2",
         ]
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_sizes_with_at_most_one_left_swap(self, size, capsys):
+        assert main(["census", "--size", str(size)]) == 0
+        assert capsys.readouterr().out == f"size {size}: 1 tanglegrams\ncrossings 0: 1\n"
 
     def test_default_cap_guards_enumeration(self, capsys):
         assert main(["census", "--size", "6"]) == 3

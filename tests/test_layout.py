@@ -28,8 +28,11 @@ from tanglekit import (
     rho,
     rho_layout,
 )
+from tanglekit import layout
+from tanglekit.layout import _mask_layout, _sweep
 
 from conftest import (
+    incremental_sweep,
     layouts,
     naive_crossing_number,
     pair_scan_crossings,
@@ -159,6 +162,117 @@ class TestIncrementalSweep:
         rng = random.Random(4)
         for k in range(2000):
             self.check(random_tanglegram(rng, rng.randint(1, 10), planar=k % 4 == 0))
+
+
+def complete_tree(depth: int) -> RootedBinaryTree:
+    """The complete binary tree with leaves 1..2**depth in stored order."""
+    nested = list(range(1, 2**depth + 1))
+    while len(nested) > 1:
+        nested = [(a, b) for a, b in zip(nested[::2], nested[1::2])]
+    return RootedBinaryTree.from_nested(nested[0])
+
+
+def mirror_mask(tree: RootedBinaryTree, mask: int) -> int:
+    return mask ^ ((1 << tree.internal_count) - 1)
+
+
+class TestGraySweep:
+    """The sweep walks only left masks with the top bit clear, in Gray
+    order. It must give the masks of the per-mask sweep and of the
+    incremental sweep in conftest, on tie-heavy inputs too."""
+
+    @staticmethod
+    def check(t):
+        got = _sweep(t)
+        assert got == incremental_sweep(t), t
+        cost, left_mask, right_mask = got
+        left_order, right_order = t.left.leaf_order(left_mask), t.right.leaf_order(right_mask)
+        assert (cost, left_order, right_order) == per_mask_sweep(t), t
+        lay, lay_cost = min_crossing_layout(t, cap=t.size)
+        assert (lay_cost, lay.left_order, lay.right_order) == (cost, left_order, right_order)
+        assert crossing_number(t, cap=t.size) == cost
+        return got
+
+    def test_mirrored_masks_cross_alike(self):
+        rng = random.Random(12)
+        for _ in range(400):
+            t = random_tanglegram(rng, rng.randint(1, 8))
+            x = rng.randrange(1 << t.left.internal_count)
+            y = rng.randrange(1 << t.right.internal_count)
+            mirrored = Layout(t, t.left.leaf_order(mirror_mask(t.left, x)),
+                              t.right.leaf_order(mirror_mask(t.right, y)))
+            assert count_crossings(_mask_layout(t, x, y)) == count_crossings(mirrored), (t, x, y)
+
+    def test_left_mask_has_the_top_bit_clear(self, small_tanglegrams):
+        rng = random.Random(13)
+        seeded = [random_tanglegram(rng, rng.randint(1, 10), planar=k % 3 == 0) for k in range(500)]
+        for t in [t for reps in small_tanglegrams.values() for t in reps] + seeded:
+            nl = t.left.internal_count
+            assert _sweep(t)[1] < (1 << nl - 1 if nl else 1), t
+
+    def test_sizes_one_and_two(self):
+        one = parse_tanglegram("1 ; 1 ; 1:1")
+        two = parse_tanglegram("(a,b) ; (a,b) ; a:b,b:a")
+        assert _sweep(one) == (0, 0, 0)
+        assert _sweep(two) == (0, 0, 1)
+        for t in (one, two):
+            self.check(t)
+
+    def test_complete_trees_matched_by_identity_and_by_reversal(self):
+        for depth in (1, 2, 3):
+            tree = complete_tree(depth)
+            n = 2**depth
+            for match in ({i: i for i in range(1, n + 1)}, {i: n + 1 - i for i in range(1, n + 1)}):
+                self.check(Tanglegram(tree, tree, match))
+
+    def test_complete_trees_under_seeded_matchings(self):
+        rng = random.Random(14)
+        for depth in (2, 3):
+            tree = complete_tree(depth)
+            labels = list(tree.leaves)
+            for _ in range(60):
+                self.check(Tanglegram(tree, tree, dict(zip(labels, rng.sample(labels, len(labels))))))
+
+    def test_caterpillars_on_both_sides(self):
+        for n in range(2, 7):
+            for entries in permutations(range(1, n + 1)):
+                self.check(catergram(Permutation(entries)))
+        rng = random.Random(15)
+        for _ in range(40):
+            n = rng.randint(7, 10)
+            self.check(catergram(Permutation(rng.sample(range(1, n + 1), n))))
+
+    def test_planar_inputs_whose_first_zero_comes_mid_walk(self, monkeypatch):
+        tabulated = []
+        real = layout._pair_table
+        monkeypatch.setattr(layout, "_pair_table", lambda t: tabulated.append(t) or real(t))
+        rng = random.Random(16)
+        mid_walk = 0
+        for _ in range(300):
+            t = random_tanglegram(rng, rng.randint(4, 10), planar=True)
+            cost, left_mask, _ = self.check(t)
+            if cost == 0 and left_mask:
+                mid_walk += 1
+                # the hand-off to the parity solver reuses the sweep's table
+                tabulated.clear()
+                _sweep(t)
+                assert tabulated == [t]
+                # a caller that wants only the count takes the zero it meets
+                assert count_crossings(_mask_layout(t, *_sweep(t, any_zero=True)[1:])) == 0
+        assert mid_walk >= 100
+
+    def test_seeded_random_at_sizes_eleven_and_twelve(self):
+        rng = random.Random(17)
+        for n in (11, 11, 12, 12):
+            self.check(random_tanglegram(rng, n))
+
+    def test_every_block_split_of_the_walk(self, monkeypatch):
+        rng = random.Random(18)
+        cases = [random_tanglegram(rng, rng.randint(1, 12), planar=k % 3 == 0) for k in range(120)]
+        for bits in (0, 1, 3):
+            monkeypatch.setattr(layout, "_BLOCK_BITS", bits)
+            for t in cases:
+                assert _sweep(t) == incremental_sweep(t), (bits, t)
 
 
 class TestPlanarity:

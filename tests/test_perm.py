@@ -38,6 +38,7 @@ from tanglekit.perm import _larger_before, _parse_int_tuple
 from conftest import (
     brute_pattern,
     int_parse_tuple,
+    lookup_tilde,
     pair_scan_larger_before,
     permutation_entries,
     plain_pattern_search,
@@ -329,6 +330,11 @@ class TestBarOperations:
 
     def test_tilde_swaps_top_two_values(self):
         assert tuple(tilde(Permutation((2, 3, 5, 1, 4)))) == (2, 3, 4, 1, 5)
+
+    def test_tilde_matches_the_lookup_form(self):
+        for n in range(2, 8):
+            for entries in permutations(range(1, n + 1)):
+                assert tuple(tilde(Permutation(entries))) == lookup_tilde(entries), entries
 
     def test_star_is_hat_of_tilde(self):
         p = Permutation((2, 3, 5, 1, 4))
