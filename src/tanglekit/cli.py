@@ -14,13 +14,7 @@ from pathlib import Path
 
 from .antichain import ChainCheck, PatternCheck, pi_seq, rho, verify_antichain, verify_chain
 from .errors import BudgetExceededError, InvalidLayoutError
-from .layout import (
-    DEFAULT_SIZE_CAP,
-    crossing_number,
-    is_planar,
-    min_crossing_layout,
-    planar_layout,
-)
+from .layout import DEFAULT_SIZE_CAP, crossing_number, is_planar, min_crossing_layout
 from .perm import contains_pattern, standardize
 from .render import to_svg, to_text, to_tikz
 from .tanglegram import (
@@ -178,9 +172,7 @@ def _cmd_crossing_number(args) -> int:
 
 def _cmd_layout(args) -> int:
     t = _read_tanglegram(args.file)
-    lay = planar_layout(t)
-    if lay is None:
-        lay, _ = min_crossing_layout(t, cap=args.cap)
+    lay, _ = min_crossing_layout(t, cap=args.cap)
     if args.emit == "svg":
         sys.stdout.write(to_svg(lay))
     elif args.emit == "tikz":
@@ -221,7 +213,7 @@ def _cmd_census(args) -> int:
     print(f"size {args.size}: {len(reps)} tanglegrams")
     hist: dict[int, int] = {}
     for t in reps:
-        c = crossing_number(t, cap=max(args.size, DEFAULT_SIZE_CAP))
+        c = crossing_number(t, cap=args.size)
         hist[c] = hist.get(c, 0) + 1
     for c in sorted(hist):
         print(f"crossings {c}: {hist[c]}")

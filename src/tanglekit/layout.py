@@ -18,22 +18,22 @@ search for either of two size-4 obstructions; that search routes a
 catergram to its four forbidden permutation patterns and scans any other
 tanglegram, and never calls the parity solver.
 
-The exhaustive sweep behind the crossing number and the crossing-minimal
-layouts reads the same O(n^2) tabulation of matching-edge pairs as the
-parity system, once per tanglegram, to find how flipping each left swap
-bit changes the crossing count at each right vertex. Flipping every swap
-bit on both sides mirrors both leaf orders and keeps every crossing, so
-it visits only the 2^(n-2) left masks whose top bit is clear, in
-Gray-code order: each step flips one left bit and costs O(right vertices
-that bit touches), and the bits touching the fewest flip most often.
-Ties go to the smallest left mask; a right bit flips only when that
-strictly lowers the count.
+The exhaustive sweep behind the crossing number, and behind the
+crossing-minimal layouts of non-planar tanglegrams, reads the parity
+system's O(n^2) tabulation of matching-edge pairs to find how flipping
+each left swap bit changes the crossing count at each right vertex.
+Flipping every swap bit on both sides mirrors both leaf orders and keeps
+every crossing, so it visits only the 2^(n-2) left masks whose top bit
+is clear, in Gray-code order: each step flips one left bit and costs
+O(right vertices that bit touches), and the bits touching the fewest
+flip most often. Ties go to the smallest left mask; a right bit flips
+only when that strictly lowers the count. A zero ends the sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import BudgetExceededError, InvalidLayoutError
 from .perm import Permutation, count_inversions, rho
@@ -135,9 +135,9 @@ def _pair_table(t: Tanglegram) -> Iterator[tuple[int, dict[int, int], dict[int, 
         yield u, crossed, uncrossed
 
 
-def _sweep(t: Tanglegram, *, any_zero: bool = False) -> tuple[int, int, int]:
-    """Fewest crossings, the smallest left swap mask that reaches it, and
-    the right swap mask that goes with it.
+def _sweep(t: Tanglegram) -> tuple[int, int, int]:
+    """Fewest crossings, a left swap mask that reaches it, and the right
+    swap mask that goes with it.
 
     For a fixed left order the right vertices are independent: two
     matching edges whose right ends split at w cross or not by w's
@@ -155,10 +155,9 @@ def _sweep(t: Tanglegram, *, any_zero: bool = False) -> tuple[int, int, int]:
     flips one left bit and adds or subtracts that bit's own deltas. The
     bits that touch the fewest right vertices flip most often. A lower
     total replaces the incumbent, and so does an equal total with a
-    smaller mask. A zero total at mask 0 ends the sweep; one met later
-    hands the tabulated pairs to the parity solver, whose answer is the
-    smallest zero-crossing mask. With ``any_zero``, which serves callers
-    that want only the count, a zero met later is returned as it is.
+    smaller mask, so with crossings left the mask is the smallest
+    optimal one. The first zero total ends the sweep; that mask need not
+    be the smallest crossing-free one, which :func:`_planar_masks` names.
     """
     nl, nr = t.left.internal_count, t.right.internal_count
     # y_w = 2 c_w - |A_w||B_w| at left mask 0, so that the right side's
@@ -168,9 +167,8 @@ def _sweep(t: Tanglegram, *, any_zero: bool = False) -> tuple[int, int, int]:
     for w, lo, mid, hi in t.right.splits():
         y[w] = (mid - lo) * (mid - hi)
     whole = -sum(y)
-    rows = list(_pair_table(t))
     moves: list[list[tuple[int, int]]] = []
-    for _, crossed, uncrossed in rows:
+    for _, crossed, uncrossed in _pair_table(t):
         delta = dict(uncrossed)
         for w, c in crossed.items():
             y[w] += c + c
@@ -205,9 +203,7 @@ def _sweep(t: Tanglegram, *, any_zero: bool = False) -> tuple[int, int, int]:
                     score += abs(new) - abs(old)
                 if score >= best and (score > best or mask < best_mask):
                     if score == whole:
-                        if any_zero:
-                            return 0, mask, sum(1 << w for w, v in enumerate(y) if v > 0)
-                        return (0, *_solve_parity(nl, nr, rows))
+                        return 0, mask, sum(1 << w for w, v in enumerate(y) if v > 0)
                     best, best_mask = score, mask
         y = y0
         for u in range(nl):
@@ -228,21 +224,15 @@ def _planar_masks(t: Tanglegram) -> tuple[int, int] | None:
     that contradicts those before it leaves no solution; a (u, w) with
     pairs in both states is the shortest such case. Otherwise fixing one
     bit of a component fixes all of them, and the smallest mask sets the
-    highest left bit of each component to 0: the zero-crossing layout
-    that the sweep returns, found in O(n^2).
+    highest left bit of each component to 0, found in O(n^2). Every
+    right bit shares a component with a left bit, so the left mask
+    forces the right one.
     """
-    return _solve_parity(t.left.internal_count, t.right.internal_count, _pair_table(t))
-
-
-def _solve_parity(
-    nl: int, nr: int, rows: Iterable[tuple[int, dict[int, int], dict[int, int]]]
-) -> tuple[int, int] | None:
-    """:func:`_planar_masks` over the rows of :func:`_pair_table`, for
-    nl left and nr right swap bits."""
+    nl, nr = t.left.internal_count, t.right.internal_count
     parent = list(range(nl + nr))  # right bit w is nl + w
     parity = [0] * len(parent)  # a bit's value xor its parent's
     size = [1] * len(parent)  # union by size keeps every path O(log n) long
-    for u, crossed, uncrossed in rows:
+    for u, crossed, uncrossed in _pair_table(t):
         ru, pu = u, 0  # u's root, and u's value xor the root's
         while parent[ru] != ru:
             pu ^= parity[ru]
@@ -291,16 +281,20 @@ def _mask_layout(t: Tanglegram, left_mask: int, right_mask: int) -> Layout:
 def crossing_number(t: Tanglegram, *, cap: int = DEFAULT_SIZE_CAP) -> int:
     """Minimum crossings over all layouts; exhaustive, guarded by ``cap``."""
     _check_cap(t, cap, "crossing_number")
-    return _sweep(t, any_zero=True)[0]
+    return _sweep(t)[0]
 
 
 def min_crossing_layout(t: Tanglegram, *, cap: int = DEFAULT_SIZE_CAP) -> tuple[Layout, int]:
     """A crossing-minimal layout and its count.
 
-    Ties go to the smallest swap-mask pair: the sweep keeps the smallest
-    left swap mask with the fewest crossings, and the right side prefers
-    stored orientations.
+    A planar tanglegram gets :func:`planar_layout`'s layout and count 0
+    at any size; ``cap`` guards only the sweep over the others. Ties go
+    to the smallest swap-mask pair: the smallest left swap mask with the
+    fewest crossings, and the right side prefers stored orientations.
     """
+    lay = planar_layout(t)
+    if lay is not None:
+        return lay, 0
     _check_cap(t, cap, "min_crossing_layout")
     cost, left_mask, right_mask = _sweep(t)
     return _mask_layout(t, left_mask, right_mask), cost
@@ -361,9 +355,9 @@ def is_planar_catergram(pi: Permutation) -> bool:
 def planar_layout(t: Tanglegram) -> Layout | None:
     """A zero-crossing layout, or None if the tanglegram is not planar.
 
-    The layout is the crossing sweep's first zero-crossing one, the
-    smallest left swap mask with no crossings and its right mask, read
-    off the swap-bit parity system in O(n^2) time with no size cap.
+    The layout is the smallest left swap mask with no crossings and the
+    right mask it forces, read off the swap-bit parity system in O(n^2)
+    time with no size cap.
     """
     masks = _planar_masks(t)
     return None if masks is None else _mask_layout(t, *masks)

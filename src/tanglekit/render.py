@@ -10,6 +10,8 @@ spec, so repeated calls yield identical bytes.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 
 from .layout import Layout, count_crossings
@@ -25,8 +27,16 @@ class DrawingSpec:
     dash_pattern: str = "6 4"
 
     def __post_init__(self):
+        sizes = (self.unit, self.gutter, self.tree_stroke, self.matching_stroke)
+        if not all(isinstance(x, (int, float)) and math.isfinite(x) for x in sizes):
+            raise ValueError("unit, gutter and strokes must be finite numbers")
         if self.unit <= 0 or self.gutter <= 0:
             raise ValueError("unit and gutter must be positive")
+        if self.tree_stroke < 0 or self.matching_stroke < 0:
+            raise ValueError("strokes must be non-negative")
+        if not (isinstance(self.dash_pattern, str) and _DASH_PATTERN.fullmatch(self.dash_pattern)):
+            raise ValueError(f"dash pattern {self.dash_pattern!r} is not non-negative numbers "
+                             "separated by commas or spaces")
 
 
 def _f(x: float) -> str:
@@ -34,6 +44,8 @@ def _f(x: float) -> str:
 
 
 _XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+# what SVG's stroke-dasharray reads: non-negative numbers split by commas or spaces
+_DASH_PATTERN = re.compile(r"(\d+\.?\d*|\.\d+)((?: *, *| +)(\d+\.?\d*|\.\d+))*")
 # TeX text-mode forms of the characters TeX treats specially
 _TEX_ESCAPES = str.maketrans(
     {"\\": r"\textbackslash{}", "~": r"\textasciitilde{}", "^": r"\textasciicircum{}"}

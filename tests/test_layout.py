@@ -135,6 +135,30 @@ class TestCrossingNumber:
         assert info.value.cap == 12
         assert crossing_number(t, cap=13) == 0
 
+    def test_cap_guards_only_the_sweep(self):
+        # size 28 is far over the default cap of 12; planar needs no sweep
+        t = catergram(rho(8))
+        lay, cost = min_crossing_layout(t)
+        planar = planar_layout(t)
+        assert cost == 0
+        assert (lay.left_order, lay.right_order) == (planar.left_order, planar.right_order)
+        with pytest.raises(BudgetExceededError) as info:
+            crossing_number(t)
+        assert info.value.cap == 12
+
+    def test_planar_inputs_never_sweep(self, monkeypatch):
+        def refuse(t):
+            raise AssertionError("swept a planar tanglegram")
+
+        monkeypatch.setattr(layout, "_sweep", refuse)
+        rng = random.Random(19)
+        for t in [catergram(rho(8))] + [random_tanglegram(rng, rng.randint(1, 14), planar=True)
+                                       for _ in range(100)]:
+            assert is_planar(t)
+            lay, cost = min_crossing_layout(t)
+            assert cost == count_crossings(lay) == 0
+            assert lay == planar_layout(t)
+
     def test_min_layout_prefers_stored_orders_on_ties(self):
         t = catergram(Permutation((1, 2, 3)))
         lay, cost = min_crossing_layout(t)
@@ -184,12 +208,16 @@ class TestGraySweep:
     @staticmethod
     def check(t):
         got = _sweep(t)
-        assert got == incremental_sweep(t), t
         cost, left_mask, right_mask = got
-        left_order, right_order = t.left.leaf_order(left_mask), t.right.leaf_order(right_mask)
-        assert (cost, left_order, right_order) == per_mask_sweep(t), t
+        if cost:
+            assert got == incremental_sweep(t), t
+            left_order, right_order = t.left.leaf_order(left_mask), t.right.leaf_order(right_mask)
+            assert (cost, left_order, right_order) == per_mask_sweep(t), t
+        else:
+            # the walk stops at the first zero it meets, not the smallest
+            assert count_crossings(_mask_layout(t, left_mask, right_mask)) == 0, t
         lay, lay_cost = min_crossing_layout(t, cap=t.size)
-        assert (lay_cost, lay.left_order, lay.right_order) == (cost, left_order, right_order)
+        assert (lay_cost, lay.left_order, lay.right_order) == per_mask_sweep(t), t
         assert crossing_number(t, cap=t.size) == cost
         return got
 
@@ -253,12 +281,13 @@ class TestGraySweep:
             cost, left_mask, _ = self.check(t)
             if cost == 0 and left_mask:
                 mid_walk += 1
-                # the hand-off to the parity solver reuses the sweep's table
+                # one tabulation per sweep, and one for a planar layout
                 tabulated.clear()
                 _sweep(t)
                 assert tabulated == [t]
-                # a caller that wants only the count takes the zero it meets
-                assert count_crossings(_mask_layout(t, *_sweep(t, any_zero=True)[1:])) == 0
+                tabulated.clear()
+                min_crossing_layout(t)
+                assert tabulated == [t]
         assert mid_walk >= 100
 
     def test_seeded_random_at_sizes_eleven_and_twelve(self):
@@ -272,7 +301,11 @@ class TestGraySweep:
         for bits in (0, 1, 3):
             monkeypatch.setattr(layout, "_BLOCK_BITS", bits)
             for t in cases:
-                assert _sweep(t) == incremental_sweep(t), (bits, t)
+                got = _sweep(t)
+                if got[0]:
+                    assert got == incremental_sweep(t), (bits, t)
+                else:
+                    assert count_crossings(_mask_layout(t, *got[1:])) == 0, (bits, t)
 
 
 class TestPlanarity:

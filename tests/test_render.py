@@ -53,6 +53,30 @@ class TestDrawingSpec:
         with pytest.raises(ValueError):
             DrawingSpec(gutter=-5)
 
+    @pytest.mark.parametrize("field", ["unit", "gutter", "tree_stroke", "matching_stroke"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -2.0, "24", None])
+    def test_rejects_non_finite_negative_and_non_numeric_sizes(self, field, value):
+        with pytest.raises(ValueError):
+            DrawingSpec(**{field: value})
+
+    def test_strokes_may_be_zero(self):
+        spec = DrawingSpec(tree_stroke=0, matching_stroke=0.0)
+        assert 'stroke-width="0.00"' in to_svg(_sample_layout(), spec)
+
+    @pytest.mark.parametrize("pattern", ["6 4", "6,4", "6, 4", "3", "0.5 .25 2.", "1  2 ,3"])
+    def test_accepts_dash_patterns(self, pattern):
+        svg = to_svg(_sample_layout(), DrawingSpec(dash_pattern=pattern))
+        ET.fromstring(svg)
+        assert f'stroke-dasharray="{pattern}"' in svg
+
+    @pytest.mark.parametrize("pattern", [
+        "<", '6 4" onclick="x', "", " ", "6 4 ", " 6", "-6 4", "6,,4", "6;4", "none",
+        "1e3", "nan", "6\n4", None, 6,
+    ])
+    def test_rejects_other_dash_patterns(self, pattern):
+        with pytest.raises(ValueError):
+            DrawingSpec(dash_pattern=pattern)
+
 
 class TestSvg:
     def test_well_formed_xml(self):
