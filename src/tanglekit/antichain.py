@@ -15,6 +15,7 @@ the induced-subtanglegram containment it certifies.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -62,10 +63,13 @@ def verify_antichain(
     catergram into the larger one and fails the report. Pairs are
     visited in ascending (i, j) order; ``pair_timeout`` (seconds per
     pair) turns an overlong search into BudgetExceededError, whose
-    message names the pair and the bar-set member being searched.
+    message names the pair and the bar-set member being searched; a
+    NaN ``pair_timeout`` raises ValueError.
     """
     if max_index < 2:
         raise ValueError("need max_index >= 2 to form a pair")
+    if pair_timeout is not None and math.isnan(pair_timeout):
+        raise ValueError("the per-pair timeout must be a number of seconds, got nan")
     perms = {i: family(i) for i in range(1, max_index + 1)}
     checks: list[PatternCheck] = []
     for i in range(1, max_index):

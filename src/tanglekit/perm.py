@@ -259,6 +259,9 @@ def pattern_occurs(pi: Permutation, rho: Permutation, *, deadline: float | None 
     reaches only after embedding nearly the whole pattern. ``deadline``
     is as for :func:`contains_pattern`.
     """
+    if deadline is not None and math.isnan(deadline):
+        # monotonic() > nan never holds, so the budget would be off
+        raise ValueError("the deadline must be a number, got nan")
     text, pat = pi.entries, rho.entries
     return len(pat) <= len(text) and _embed(text[::-1], pat[::-1], deadline) is not None
 
@@ -279,7 +282,7 @@ def contains_pattern(
 
     ``deadline`` is an optional time.monotonic() cutoff, checked
     periodically by both searches; crossing it raises
-    BudgetExceededError.
+    BudgetExceededError, and a NaN one raises ValueError.
     """
     if not pattern_occurs(pi, rho, deadline=deadline):
         return None

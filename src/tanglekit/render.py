@@ -4,8 +4,9 @@ Leaves sit at consecutive multiples of the unit on two vertical lines,
 first order position at the bottom. Internal vertices step away from
 their leaf line in proportion to their height and take the vertical
 midpoint of their children. Matching edges are straight segments, drawn
-dashed. Both emitters are pure functions of the layout and the drawing
-spec, so repeated calls yield identical bytes.
+dashed: SVG with the spec's dash pattern, TikZ always with its plain
+``dashed`` style. Both emitters are pure functions of the layout and the
+drawing spec, so repeated calls yield identical bytes.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ from .trees import Label, RootedBinaryTree
 
 @dataclass(frozen=True)
 class DrawingSpec:
+    """Sizes in points and the matching's dash pattern. The dash pattern
+    styles SVG only (its ``stroke-dasharray``); TikZ output ignores it."""
+
     unit: float = 24.0
     gutter: float = 240.0
     tree_stroke: float = 1.5
@@ -176,7 +180,8 @@ def to_svg(layout: Layout, spec: DrawingSpec = DrawingSpec()) -> str:
 
 
 def to_tikz(layout: Layout, spec: DrawingSpec = DrawingSpec()) -> str:
-    """Render as a tikzpicture; matching edges dashed."""
+    """Render as a tikzpicture; matching edges in TikZ's ``dashed`` style,
+    whatever the spec's dash pattern."""
     t = layout.tanglegram
     left_xy, left_edges, right_xy, right_edges, matching = _geometry(layout, spec)
     lines = [r"\begin{tikzpicture}[x=1pt,y=-1pt]"]

@@ -25,11 +25,25 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .perm import Permutation, bar_members, pattern_occurs, standardize
-from .trees import Label, RootedBinaryTree, caterpillar, label_from_token, label_sort_key
+from .trees import (
+    Label,
+    RootedBinaryTree,
+    _nested_table,
+    caterpillar,
+    label_from_token,
+    label_sort_key,
+)
 
 
 class Tanglegram:
-    """Left tree, right tree, and a bijection between their leaf labels."""
+    """Left tree, right tree, and a bijection between their leaf labels.
+
+    The constructor checks that the matching is a bijection between the
+    two leaf sets: it serves outside input. Tanglegrams derived from
+    valid objects (:func:`catergram`, :func:`induced_subtanglegram`,
+    :func:`enumerate_tanglegrams`) are built by the private unchecked
+    :meth:`_of`.
+    """
 
     __slots__ = ("_left", "_right", "_pairs", "_fwd", "_bwd", "_perm")
 
@@ -49,11 +63,28 @@ class Tanglegram:
             raise ValueError("matching keys must be exactly the left leaf labels")
         if set(fwd.values()) != right.labels():
             raise ValueError("matching values must be exactly the right leaf labels")
+        self._fill(left, right, _by_left_label(fwd), fwd)
+
+    @classmethod
+    def _of(
+        cls,
+        left: RootedBinaryTree,
+        right: RootedBinaryTree,
+        pairs: tuple[tuple[Label, Label], ...],
+    ) -> "Tanglegram":
+        """A tanglegram known to be valid, with no checks: for ones
+        derived from valid objects. ``pairs`` is the matching as a tuple
+        of pairs already sorted by left label."""
+        t = object.__new__(cls)
+        t._fill(left, right, pairs, dict(pairs))
+        return t
+
+    def _fill(self, left, right, pairs, fwd) -> None:
         self._left = left
         self._right = right
         self._fwd = fwd
-        self._bwd = {r: l for l, r in fwd.items()}
-        self._pairs = tuple(sorted(fwd.items(), key=lambda kv: label_sort_key(kv[0])))
+        self._bwd = {r: l for l, r in pairs}
+        self._pairs = pairs
         self._perm: Permutation | None = None  # set by catergram()
 
     @property
@@ -89,6 +120,10 @@ class Tanglegram:
         return f"parse_tanglegram({format_tanglegram(self)!r})"
 
 
+def _by_left_label(fwd: Mapping[Label, Label]) -> tuple[tuple[Label, Label], ...]:
+    return tuple(sorted(fwd.items(), key=lambda kv: label_sort_key(kv[0])))
+
+
 # ----------------------------------------------------------------------
 # catergrams
 
@@ -100,7 +135,7 @@ def catergram(pi: Permutation) -> Tanglegram:
     if n < 2:
         raise ValueError("a catergram needs size at least 2")
     cat = caterpillar(n)
-    t = Tanglegram(cat, cat, zip(range(1, n + 1), pi.entries))
+    t = Tanglegram._of(cat, cat, tuple(zip(range(1, n + 1), pi.entries)))
     t._perm = pi
     return t
 
@@ -238,13 +273,8 @@ def induced_subtanglegram(
         raise ValueError(f"not matching edges of this tanglegram: {bad}")
     if len(set(chosen)) != len(chosen):
         raise ValueError("the edge subset repeats an edge")
-    left_labels = [l for l, _ in chosen]
-    right_labels = [r for _, r in chosen]
-    return Tanglegram(
-        t.left.induced(left_labels),
-        t.right.induced(right_labels),
-        dict(chosen),
-    )
+    fwd = dict(chosen)
+    return Tanglegram._of(t.left.induced(fwd), t.right.induced(fwd.values()), _by_left_label(fwd))
 
 
 def induced_on_left(t: Tanglegram, left_labels: Iterable[Label]) -> Tanglegram:
@@ -450,7 +480,7 @@ def enumerate_tanglegrams(n: int) -> list[Tanglegram]:
     embedded = []
     for shape in _shapes(n):
         nested, _ = _tree_from_shape(shape)
-        tree = RootedBinaryTree.from_nested(nested)
+        tree = RootedBinaryTree._of(*_nested_table(nested))
         embedded.append((tree, *_canonical_embeddings(tree)))
     labels = range(1, n + 1)
     seen: dict[tuple, Tanglegram] = {}
@@ -460,5 +490,5 @@ def enumerate_tanglegrams(n: int) -> list[Tanglegram]:
                 partner = dict(zip(labels, images))
                 form = (shape_l, shape_r, _least_signature(lefts, rights, partner))
                 if form not in seen:
-                    seen[form] = Tanglegram(tl, tr, partner)
+                    seen[form] = Tanglegram._of(tl, tr, tuple(partner.items()))
     return [seen[f] for f in sorted(seen)]

@@ -12,6 +12,14 @@ text form and the enumeration of plane embeddings.
 The text form is a Newick-like expression without a trailing semicolon:
 a leaf is its label token, an internal vertex is ``(A,B)``. Printing a
 parsed tree reproduces the text byte for byte.
+
+Outside input is validated once, by the raw constructor, which the
+parsers :meth:`RootedBinaryTree.from_nested` and
+:meth:`RootedBinaryTree.from_newick` go through. Trees derived from
+valid ones (:meth:`RootedBinaryTree.induced`, the shapes of
+:func:`tanglekit.tanglegram.enumerate_tanglegrams`) are built unchecked
+by ``RootedBinaryTree._of``, and :func:`caterpillar` sets its fields
+from their closed forms.
 """
 
 from __future__ import annotations
@@ -61,13 +69,38 @@ def _check_label(label: object) -> None:
         raise ValueError(f"str label {label!r} would read back as the int {int(label)}")
 
 
+def _nested_table(nested: Nested) -> tuple[tuple[tuple[int, int] | None, ...], dict[int, Label]]:
+    """The child table and leaf-label table of nested 2-tuples, vertex
+    ids in preorder. Checks only that every tuple is a pair."""
+    kids: list[list[int] | None] = []
+    labels: dict[int, Label] = {}
+    todo: list[tuple[Nested, int]] = [(nested, -1)]
+    while todo:
+        node, parent = todo.pop()
+        v = len(kids)
+        if parent >= 0:
+            kids[parent].append(v)  # type: ignore[union-attr]
+        if isinstance(node, tuple):
+            if len(node) != 2:
+                raise ValueError("an internal vertex needs exactly two children")
+            kids.append([])
+            todo.append((node[1], v))
+            todo.append((node[0], v))
+        else:
+            kids.append(None)
+            labels[v] = node  # type: ignore[assignment]
+    return tuple([None if k is None else (k[0], k[1]) for k in kids]), labels
+
+
 class RootedBinaryTree:
     """An immutable rooted tree whose internal vertices all have two children.
 
     Construct with :meth:`from_nested`, :meth:`from_newick` or
     :func:`caterpillar`; the raw constructor takes a child table and a
     leaf-label table and validates shape, connectivity and label
-    uniqueness.
+    uniqueness. The private :meth:`_of` takes the same tables without
+    any check, for trees derived from valid ones; both run the one
+    derivation walk, :meth:`_walk`.
 
     Every walk runs over the preorder vertex tuple, never by recursion,
     so depth does not limit tree size. The leaves below a vertex occupy
@@ -96,7 +129,7 @@ class RootedBinaryTree:
         table: list[tuple[int, int] | None] = []
         for k in kids:
             table.append(None if k is None else (int(k[0]), int(k[1])))
-        self._kids = table = tuple(table)
+        table = tuple(table)
         m = len(table)
         if m == 0:
             raise ValueError("a tree needs at least one vertex")
@@ -114,10 +147,39 @@ class RootedBinaryTree:
                     raise ValueError(f"vertex {c} has two parents")
                 seen_child[c] = True
 
-        # The one walk from the root: preorder, and with it each vertex's
-        # depth, its first leaf's index and the preorder bit index of
-        # each internal vertex. With one parent per vertex and none for
-        # the root it visits each vertex at most once.
+        # With one parent per vertex and none for the root the walk
+        # visits each vertex at most once; it misses some when the
+        # table is disconnected.
+        leaf_ids = self._walk(table)
+        if len(self._pre) != m:
+            raise ValueError("tree is disconnected")
+
+        label_of = dict(labels)
+        if set(label_of) != set(leaf_ids):
+            raise ValueError("labels must cover exactly the leaves")
+        for lab in label_of.values():
+            _check_label(lab)
+        if len(set(label_of.values())) != len(label_of):
+            raise ValueError("leaf labels must be pairwise distinct")
+        self._name_leaves(label_of, leaf_ids)
+
+    @classmethod
+    def _of(
+        cls, kids: tuple[tuple[int, int] | None, ...], labels: dict[int, Label]
+    ) -> "RootedBinaryTree":
+        """A tree from a table already known to be valid, with no checks:
+        for trees derived from valid ones. ``kids`` is a tuple of int
+        pairs and Nones, and ``labels`` is kept, not copied."""
+        tree = object.__new__(cls)
+        tree._name_leaves(labels, tree._walk(kids))
+        return tree
+
+    def _walk(self, table: tuple[tuple[int, int] | None, ...]) -> list[int]:
+        # The one walk from the root, shared by both constructors: fills
+        # the preorder, each vertex's depth, its leaf interval and the
+        # preorder bit index of each internal vertex, and returns the
+        # leaf ids in stored order.
+        m = len(table)
         pre: list[int] = []
         leaf_ids: list[int] = []
         lo = [0] * m
@@ -137,16 +199,6 @@ class RootedBinaryTree:
                 depth_of[a] = depth_of[b] = depth_of[v] + 1
                 stack.append(b)
                 stack.append(a)
-        if len(pre) != m:
-            raise ValueError("tree is disconnected")
-
-        label_of = dict(labels)
-        if set(label_of) != set(leaf_ids):
-            raise ValueError("labels must cover exactly the leaves")
-        for lab in label_of.values():
-            _check_label(lab)
-        if len(set(label_of.values())) != len(label_of):
-            raise ValueError("leaf labels must be pairwise distinct")
 
         # a vertex's leaf interval ends where its second child's ends
         hi = [0] * m
@@ -154,16 +206,22 @@ class RootedBinaryTree:
             pair = table[v]
             hi[v] = lo[v] + 1 if pair is None else hi[pair[1]]
 
-        self._label_of = label_of
-        self._vertex_of = {lab: v for v, lab in label_of.items()}
+        self._kids = table
         self._pre = tuple(pre)
         self._depth_of = tuple(depth_of)
         self._internal_bit = internal_bit
+        self._lo = tuple(lo)
+        self._hi = tuple(hi)
+        return leaf_ids
+
+    def _name_leaves(self, label_of: dict[int, Label], leaf_ids: list[int]) -> None:
+        # apart from the walk: __init__ checks the labels in between, and
+        # an unchecked label may not even hash
+        self._label_of = label_of
+        self._vertex_of = {lab: v for v, lab in label_of.items()}
         # from a list: a tuple grown from a generator skips CPython's tuple
         # free list when made but joins it when freed, which bloats the list
         self._leaves = tuple([label_of[v] for v in leaf_ids])
-        self._lo = tuple(lo)
-        self._hi = tuple(hi)
         self._canon: str | None = None
 
     # ------------------------------------------------------------------
@@ -212,24 +270,7 @@ class RootedBinaryTree:
     @classmethod
     def from_nested(cls, nested: Nested) -> "RootedBinaryTree":
         """Build from nested 2-tuples with labels at the leaves."""
-        kids: list[list[int] | None] = []
-        labels: dict[int, Label] = {}
-        todo: list[tuple[Nested, int]] = [(nested, -1)]
-        while todo:
-            node, parent = todo.pop()
-            v = len(kids)
-            if parent >= 0:
-                kids[parent].append(v)  # type: ignore[union-attr]
-            if isinstance(node, tuple):
-                if len(node) != 2:
-                    raise ValueError("an internal vertex needs exactly two children")
-                kids.append([])
-                todo.append((node[1], v))
-                todo.append((node[0], v))
-            else:
-                kids.append(None)
-                labels[v] = node  # type: ignore[assignment]
-        return cls(kids, labels)  # type: ignore[arg-type]
+        return cls(*_nested_table(nested))
 
     def to_nested(self) -> Nested:
         return self.fold(lambda lab: lab, lambda v, a, b: (a, b))
@@ -438,7 +479,7 @@ class RootedBinaryTree:
             lambda v, a, b: b if a is None else a if b is None else (a, b),
         )
         assert nested is not None
-        return RootedBinaryTree.from_nested(nested)
+        return RootedBinaryTree._of(*_nested_table(nested))
 
     # ------------------------------------------------------------------
     # equality up to isomorphism of labeled rooted trees
@@ -472,6 +513,33 @@ def caterpillar(n: int) -> RootedBinaryTree:
     """
     if n < 2:
         raise ValueError("a caterpillar needs at least 2 leaves")
-    # preorder ids: spine vertex 2d-2 has children 2d-1 (leaf d) and 2d
-    kids = [(v + 1, v + 2) if v % 2 == 0 else None for v in range(2 * n - 2)] + [None]
-    return RootedBinaryTree(kids, {2 * d - 1: d for d in range(1, n)} | {2 * n - 2: n})
+    # Preorder ids: spine vertex 2d-2 has children 2d-1 (leaf d) and 2d,
+    # and 2n-2 is leaf n. So preorder is 0..2n-2, vertex v sits at depth
+    # (v+1)//2 with v//2 leaves before it, and a spine vertex's leaves
+    # run to the end. Every field is set from that, with no walk.
+    m = 2 * n - 1
+    kids: list = [None] * m
+    kids[0 : m - 1 : 2] = zip(range(1, m, 2), range(2, m, 2))
+    depth_of = [0] * m
+    depth_of[1::2] = depth_of[2::2] = range(1, n)
+    lo = [0] * m
+    lo[0::2], lo[1::2] = range(n), range(n - 1)
+    hi = [n] * m
+    hi[1::2] = range(1, n)
+    label_of = dict(zip(range(1, m, 2), range(1, n)))
+    label_of[m - 1] = n
+    vertex_of = dict(zip(range(1, n), range(1, m, 2)))
+    vertex_of[n] = m - 1
+
+    tree = object.__new__(RootedBinaryTree)
+    tree._kids = tuple(kids)
+    tree._label_of = label_of
+    tree._vertex_of = vertex_of
+    tree._pre = tuple(range(m))
+    tree._depth_of = tuple(depth_of)
+    tree._internal_bit = dict(zip(range(0, m - 1, 2), range(n - 1)))
+    tree._leaves = tuple(range(1, n + 1))
+    tree._lo = tuple(lo)
+    tree._hi = tuple(hi)
+    tree._canon = None
+    return tree

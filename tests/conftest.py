@@ -496,6 +496,27 @@ def random_nested(rng, labels):
     return (a, b) if rng.random() < 0.5 else (b, a)
 
 
+def suppressed_nested(nested, keep):
+    """The nested form of the subtree induced by the leaves in ``keep``,
+    by recursion: leaves outside it dropped, then each vertex left with
+    one child replaced by that child. None when nothing is kept."""
+    if not isinstance(nested, tuple):
+        return nested if nested in keep else None
+    a, b = suppressed_nested(nested[0], keep), suppressed_nested(nested[1], keep)
+    return b if a is None else a if b is None else (a, b)
+
+
+def checked_copy(tree: RootedBinaryTree) -> RootedBinaryTree:
+    """The tree rebuilt from its own tables by the checked constructor."""
+    return RootedBinaryTree(tree._kids, tree._label_of)
+
+
+def assert_same_slots(got: RootedBinaryTree, want: RootedBinaryTree) -> None:
+    for slot in RootedBinaryTree.__slots__:
+        a, b = getattr(got, slot), getattr(want, slot)
+        assert type(a) is type(b) and a == b, slot
+
+
 def random_tanglegram(rng, n: int, planar: bool = False) -> Tanglegram:
     """A seeded random tanglegram of size n. With ``planar`` the right
     tree is grown over the left leaves in the order of a random left

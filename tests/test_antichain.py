@@ -110,6 +110,11 @@ class TestVerifyAntichain:
         assert str(info.value).startswith("antichain pair (1,2) sigma=hat:")
         assert "deadline" in str(info.value)
 
+    def test_nan_timeout_is_refused(self):
+        with pytest.raises(ValueError, match="nan"):
+            verify_antichain(3, pair_timeout=float("nan"))
+        assert verify_antichain(3, pair_timeout=float("inf")).passed
+
     @pytest.mark.parametrize("adjacent_only", [False, True])
     def test_searches_match_a_per_pair_bar_set(self, monkeypatch, adjacent_only):
         # the bar set is built once per i; the searches, their order and

@@ -11,13 +11,16 @@ import pytest
 
 from tanglekit import (
     Permutation,
+    RootedBinaryTree,
     cli,
     contains_pattern,
     format_tanglegram,
     induced_on_left,
+    is_catergram,
     parse_tanglegram,
     restrict,
     rho,
+    tanglegram,
 )
 from tanglekit.cli import main
 
@@ -114,6 +117,49 @@ class TestVerify:
         err = capsys.readouterr().err.strip()
         assert err == ("budget exceeded: antichain pair (1,14) sigma=hat: "
                        "pattern search ran past its deadline")
+
+    def test_antichain_nan_timeout_is_a_usage_error(self, capsys):
+        # a NaN deadline never passes: without the check it ran to PASS
+        assert main(["verify", "antichain", "--max", "14", "--timeout", "nan"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the per-pair timeout must be a number of seconds, got nan\n"
+
+
+class TestTracedBoundaries:
+    """Derived trees and tanglegrams are built unchecked; these calls are
+    the boundaries a traced run wraps, and every one must still be
+    reached on the requests that reached it before."""
+
+    @staticmethod
+    def _spy(monkeypatch, owner, name: str, calls: list) -> None:
+        orig = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    def test_parsed_file_reaches_the_checked_constructor(self, balanced_file, monkeypatch, capsys):
+        calls: list = []
+        self._spy(monkeypatch, RootedBinaryTree, "__init__", calls)
+        assert main(["crossing-number", balanced_file]) == 0
+        assert capsys.readouterr().out == "1\n"
+        assert calls == ["__init__", "__init__"]  # one per parsed tree
+
+    def test_induced_yes_on_a_non_catergram_reaches_induced(self, tmp_path, monkeypatch, capsys):
+        sup_t = joined_caterpillars(4)
+        assert not is_catergram(sup_t)
+        sub, sup = tmp_path / "sub.tg", tmp_path / "sup.tg"
+        sub.write_text(format_tanglegram(induced_on_left(sup_t, [1, 2, 5, 6, 7])) + "\n")
+        sup.write_text(format_tanglegram(sup_t) + "\n")
+        calls: list = []
+        self._spy(monkeypatch, RootedBinaryTree, "induced", calls)
+        self._spy(monkeypatch, tanglegram, "induced_subtanglegram", calls)
+        assert main(["induced", str(sub), str(sup)]) == 0
+        assert capsys.readouterr().out == "true\n"
+        assert {"induced", "induced_subtanglegram"} <= set(calls)
 
 
 class TestPlanar:

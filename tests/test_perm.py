@@ -323,6 +323,14 @@ class TestContainsPattern:
             contains_pattern(p, Permutation((2, 1)), deadline=0.0)
         assert info.value.cap is None  # a deadline, not a size cap
 
+    @pytest.mark.parametrize("search", [contains_pattern, pattern_occurs])
+    def test_nan_deadline_is_refused(self, search):
+        # monotonic() > nan never holds, so a NaN deadline would never fire
+        p = Permutation(tuple(range(1, 101)))
+        with pytest.raises(ValueError, match="nan"):
+            search(p, Permutation((2, 1)), deadline=float("nan"))
+        assert not search(p, Permutation((2, 1)), deadline=float("inf"))
+
 
 class TestBarOperations:
     def test_hat_swaps_last_two_images(self):

@@ -142,6 +142,10 @@ class TestTikz:
         lay = _sample_layout()
         assert to_tikz(lay) == to_tikz(lay)
 
+    def test_dash_pattern_styles_svg_only(self):
+        lay = _sample_layout()
+        assert to_tikz(lay, DrawingSpec(dash_pattern="1 9")) == to_tikz(lay)
+
     def test_labels_present(self):
         tikz = to_tikz(_sample_layout())
         assert r"\node[anchor=east]" in tikz

@@ -1,5 +1,6 @@
 """Tanglegrams: construction, invariants, equality, induction, text form."""
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -35,10 +36,12 @@ from tanglekit import (
 from tanglekit.tanglegram import _has_induced_copy, _shapes, _subset_profiles
 
 from conftest import (
+    checked_copy,
     object_scan_induced_copy,
     ordered_shapes,
     permutation_entries,
     random_tanglegram,
+    suppressed_nested,
     tanglegrams,
 )
 
@@ -493,3 +496,56 @@ class TestEnumeration:
         reps = enumerate_tanglegrams(3)
         t = Tanglegram(caterpillar(3), caterpillar(3), {1: 3, 2: 1, 3: 2})
         assert any(equal(t, r) for r in reps)
+
+
+class TestUncheckedBuilds:
+    """Derived tanglegrams are built unchecked; each against the same
+    tanglegram built by the checked constructors."""
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert got.edges == want.edges
+        assert got._fwd == want._fwd and got._bwd == want._bwd
+        assert format_tanglegram(got) == format_tanglegram(want)
+        assert got.left == want.left and got.right == want.right
+        assert canonical_form(got) == canonical_form(want)
+
+    def test_catergram(self):
+        rng = random.Random(4)
+        perms = [Permutation(p) for n in range(2, 7) for p in permutations(range(1, n + 1))]
+        perms += [Permutation(rng.sample(range(1, n + 1), n)) for n in range(7, 61) for _ in range(3)]
+        for pi in perms:
+            n = len(pi)
+            cat = checked_copy(caterpillar(n))
+            want = Tanglegram(cat, cat, zip(range(1, n + 1), pi))
+            got = catergram(pi)
+            self._assert_same(got, want)
+            assert catergram_permutation(got) == catergram_permutation(want) == pi
+
+    def test_induced_subtanglegram(self):
+        rng = random.Random(9)
+        for _ in range(150):
+            t = random_tanglegram(rng, rng.randint(1, 14))
+            chosen = rng.sample(t.edges, rng.randint(1, t.size))
+            got = induced_subtanglegram(t, chosen)
+            want = Tanglegram(
+                RootedBinaryTree.from_nested(suppressed_nested(t.left.to_nested(), {l for l, _ in chosen})),
+                RootedBinaryTree.from_nested(suppressed_nested(t.right.to_nested(), {r for _, r in chosen})),
+                dict(chosen),
+            )
+            self._assert_same(got, want)
+            for side in ("left", "right"):
+                a, b = getattr(got, side), getattr(want, side)
+                assert a.to_newick() == b.to_newick() and a.leaves == b.leaves
+
+    def test_enumeration(self):
+        # digests of the canonical forms in order, as the checked
+        # builds gave them
+        digests = {1: "fa95c99b54d274ba", 2: "5cdf90f274e4e1b0", 3: "6775f4b51c720436",
+                   4: "87e3687bdcbd9081", 5: "b84503e6d6e5598b"}
+        for n, digest in digests.items():
+            reps = enumerate_tanglegrams(n)
+            forms = [canonical_form(t) for t in reps]
+            assert hashlib.sha256(repr(forms).encode()).hexdigest()[:16] == digest
+            for t in reps:
+                self._assert_same(t, Tanglegram(checked_copy(t.left), checked_copy(t.right), t.edges))

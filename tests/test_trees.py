@@ -8,7 +8,16 @@ from hypothesis import given, strategies as st
 
 from tanglekit import RootedBinaryTree, caterpillar
 
-from conftest import brute_lca_bit, ordered_shapes, random_nested, tree_shapes, _label_shape
+from conftest import (
+    _label_shape,
+    assert_same_slots,
+    brute_lca_bit,
+    checked_copy,
+    ordered_shapes,
+    random_nested,
+    suppressed_nested,
+    tree_shapes,
+)
 
 
 def test_from_nested_builds_balanced_four():
@@ -105,6 +114,31 @@ def test_caterpillar_table_matches_the_nested_build():
         assert got.lca_gaps() == want.lca_gaps()
         assert got.leaf_depths() == want.leaf_depths()
         assert got == want and hash(got) == hash(want)
+
+
+def test_caterpillar_closed_form_matches_the_checked_build():
+    # caterpillar sets every field from its closed form, with no walk
+    for n in range(2, 301):
+        got = caterpillar(n)
+        assert_same_slots(got, checked_copy(got))
+        assert got._kids[0] == (1, 2) and got._label_of[2 * n - 2] == n
+
+
+def test_induced_matches_the_checked_build():
+    # induced builds unchecked; the reference is the checked build of
+    # the suppressed nested form
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        labels = list(range(1, n + 1))
+        nested = random_nested(rng, labels)
+        keep = set(rng.sample(labels, rng.randint(1, n)))
+        got = RootedBinaryTree.from_nested(nested).induced(keep)
+        want = RootedBinaryTree.from_nested(suppressed_nested(nested, keep))
+        assert_same_slots(got, checked_copy(got))  # before == fills _canon
+        assert got.to_newick() == want.to_newick()
+        assert got.leaves == want.leaves
+        assert got == want
 
 
 def test_order_consistent_accepts_and_rejects():
