@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .antichain import ChainCheck, PatternCheck, pi_seq, rho, verify_antichain, verify_chain
 from .errors import BudgetExceededError, InvalidLayoutError
-from .layout import DEFAULT_SIZE_CAP, crossing_number, is_planar, min_crossing_layout
+from .layout import DEFAULT_SIZE_CAP, _check_cap, crossing_number, is_planar, min_crossing_layout
 from .perm import contains_pattern, standardize
 from .render import to_svg, to_text, to_tikz
 from .tanglegram import (
@@ -96,29 +96,28 @@ def _read_tanglegram(path: str) -> Tanglegram:
     return parse_tanglegram(lines[0])
 
 
-def _emit_pattern_check(rec: PatternCheck, fmt: str) -> None:
+def _emit(kind: str, rec: PatternCheck | ChainCheck, text, fmt: str) -> None:
+    # keys follow the dataclass fields; the text line is built only when printed
     if fmt == "jsonl":
-        print(json.dumps({
-            "kind": "antichain-check", "i": rec.i, "j": rec.j, "sigma": rec.sigma,
-            "witness": list(rec.witness) if rec.witness else None,
-            "elapsed": round(rec.elapsed, 6),
-        }))
+        print(json.dumps({"kind": kind, **vars(rec), "elapsed": round(rec.elapsed, 6)}))
     else:
-        verdict = "ok" if rec.witness is None else f"witness={{{','.join(map(str, rec.witness))}}}"
-        print(f"antichain pair ({rec.i},{rec.j}) sigma={rec.sigma}: {verdict} {rec.elapsed:.3f}s")
+        print(text(rec))
 
 
-def _emit_chain_check(rec: ChainCheck, fmt: str) -> None:
-    if fmt == "jsonl":
-        print(json.dumps({
-            "kind": "chain-check", "i": rec.i,
-            "restriction_ok": rec.restriction_ok, "induced_ok": rec.induced_ok,
-            "elapsed": round(rec.elapsed, 6),
-        }))
-    else:
-        r = "ok" if rec.restriction_ok else "MISMATCH"
-        s = "ok" if rec.induced_ok else "MISSING"
-        print(f"chain step {rec.i}->{rec.i + 1}: restriction {r}, induced {s} {rec.elapsed:.3f}s")
+def _pattern_line(rec: PatternCheck) -> str:
+    verdict = "ok" if rec.witness is None else f"witness={{{','.join(map(str, rec.witness))}}}"
+    return f"antichain pair ({rec.i},{rec.j}) sigma={rec.sigma}: {verdict} {rec.elapsed:.3f}s"
+
+
+def _chain_line(rec: ChainCheck) -> str:
+    r = "ok" if rec.restriction_ok else "MISMATCH"
+    s = "ok" if rec.induced_ok else "MISSING"
+    return f"chain step {rec.i}->{rec.i + 1}: restriction {r}, induced {s} {rec.elapsed:.3f}s"
+
+
+def _answer(ok: bool) -> int:
+    print("true" if ok else "false")
+    return 0 if ok else 1
 
 
 def _cmd_gen(args) -> int:
@@ -128,29 +127,23 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    fmt = args.format
     if args.target == "antichain":
         report = verify_antichain(
             args.max_index,
             adjacent_only=args.adjacent_only,
             pair_timeout=args.timeout,
-            on_check=lambda rec: _emit_pattern_check(rec, fmt),
+            on_check=lambda rec: _emit("antichain-check", rec, _pattern_line, args.format),
         )
-        summary = {
-            "kind": "summary", "result": "PASS" if report.passed else "FAIL",
-            "max": report.max_index, "adjacent_only": report.adjacent_only,
-            "checks": len(report.checks),
-        }
+        extra = {"adjacent_only": report.adjacent_only}
     else:
         report = verify_chain(
             args.max_index,
-            on_check=lambda rec: _emit_chain_check(rec, fmt),
+            on_check=lambda rec: _emit("chain-check", rec, _chain_line, args.format),
         )
-        summary = {
-            "kind": "summary", "result": "PASS" if report.passed else "FAIL",
-            "max": report.max_index, "checks": len(report.checks),
-        }
-    if fmt == "jsonl":
+        extra = {}
+    summary = {"kind": "summary", "result": "PASS" if report.passed else "FAIL",
+               "max": report.max_index, **extra, "checks": len(report.checks)}
+    if args.format == "jsonl":
         print(json.dumps(summary))
     else:
         print(f"{summary['result']} {args.target} max={args.max_index} checks={summary['checks']}")
@@ -159,9 +152,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_planar(args) -> int:
     t = _read_tanglegram(args.file)
-    ok = is_planar(t, args.method)
-    print("true" if ok else "false")
-    return 0 if ok else 1
+    return _answer(is_planar(t, args.method))
 
 
 def _cmd_crossing_number(args) -> int:
@@ -197,18 +188,11 @@ def _cmd_pattern(args) -> int:
 def _cmd_induced(args) -> int:
     sub = _read_tanglegram(args.sub_file)
     sup = _read_tanglegram(args.super_file)
-    ok = is_induced_sub(sub, sup)
-    print("true" if ok else "false")
-    return 0 if ok else 1
+    return _answer(is_induced_sub(sub, sup))
 
 
 def _cmd_census(args) -> int:
-    if args.size > args.cap:
-        raise BudgetExceededError(
-            f"census enumerates every tanglegram; size {args.size} is over the cap "
-            f"{args.cap} (raise the cap to force it)",
-            cap=args.cap,
-        )
+    _check_cap(args.size, args.cap, "census enumerates every tanglegram")
     reps = enumerate_tanglegrams(args.size)
     print(f"size {args.size}: {len(reps)} tanglegrams")
     hist: dict[int, int] = {}
@@ -242,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except RecursionError:  # last resort for the searches that still recurse
+    except RecursionError:  # last resort: tanglegram._shapes (census) still recurses
         print(f"budget exceeded: {args.command} ran past the recursion depth", file=sys.stderr)
         return 3
     except (ValueError, InvalidLayoutError, OSError) as exc:

@@ -89,11 +89,10 @@ def count_crossings(layout: Layout) -> int:
 # ----------------------------------------------------------------------
 # minimum crossings
 
-def _check_cap(t: Tanglegram, cap: int, what: str) -> None:
-    if t.size > cap:
+def _check_cap(size: int, cap: int, does: str) -> None:
+    if size > cap:
         raise BudgetExceededError(
-            f"{what} sweeps all embedding pairs; size {t.size} is over the cap {cap} "
-            f"(raise the cap to force it)",
+            f"{does}; size {size} is over the cap {cap} (raise the cap to force it)",
             cap=cap,
         )
 
@@ -280,7 +279,7 @@ def _mask_layout(t: Tanglegram, left_mask: int, right_mask: int) -> Layout:
 
 def crossing_number(t: Tanglegram, *, cap: int = DEFAULT_SIZE_CAP) -> int:
     """Minimum crossings over all layouts; exhaustive, guarded by ``cap``."""
-    _check_cap(t, cap, "crossing_number")
+    _check_cap(t.size, cap, "crossing_number sweeps all embedding pairs")
     return _sweep(t)[0]
 
 
@@ -295,7 +294,7 @@ def min_crossing_layout(t: Tanglegram, *, cap: int = DEFAULT_SIZE_CAP) -> tuple[
     lay = planar_layout(t)
     if lay is not None:
         return lay, 0
-    _check_cap(t, cap, "min_crossing_layout")
+    _check_cap(t.size, cap, "min_crossing_layout sweeps all embedding pairs")
     cost, left_mask, right_mask = _sweep(t)
     return _mask_layout(t, left_mask, right_mask), cost
 

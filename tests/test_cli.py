@@ -1,5 +1,6 @@
 """Command-line interface: output formats and exit codes."""
 
+import functools
 import hashlib
 import json
 import random
@@ -21,6 +22,7 @@ from tanglekit import (
     restrict,
     rho,
     tanglegram,
+    verify_antichain,
 )
 from tanglekit.cli import main
 
@@ -37,6 +39,12 @@ from conftest import (
 
 # the default decider, then the independent cross-check
 BOTH_METHODS = ([], ["--method", "kuratowski"])
+
+
+def mask_elapsed(out: str) -> list[str]:
+    """The lines of a verifier's stdout with each check's timing as ``E``."""
+    out = re.sub(r'"elapsed": [-+.e0-9]+', '"elapsed": E', out)
+    return re.sub(r" [0-9]+\.[0-9]{3}s$", " E", out, flags=re.M).splitlines()
 
 
 @pytest.fixture
@@ -117,6 +125,54 @@ class TestVerify:
         err = capsys.readouterr().err.strip()
         assert err == ("budget exceeded: antichain pair (1,14) sigma=hat: "
                        "pattern search ran past its deadline")
+
+    @pytest.mark.parametrize("adjacent_only", [False, True])
+    def test_antichain_jsonl_lines(self, adjacent_only, capsys):
+        flag = ["--adjacent-only"] if adjacent_only else []
+        assert main(["verify", "antichain", "--max", "3", *flag, "--format", "jsonl"]) == 0
+        pairs = [(1, 2), (2, 3)] if adjacent_only else [(1, 2), (1, 3), (2, 3)]
+        want = [f'{{"kind": "antichain-check", "i": {i}, "j": {j}, "sigma": "{s}", '
+                f'"witness": null, "elapsed": E}}'
+                for i, j in pairs for s in ("base", "hat", "tilde", "star")]
+        want.append(f'{{"kind": "summary", "result": "PASS", "max": 3, '
+                    f'"adjacent_only": {json.dumps(adjacent_only)}, "checks": {len(want)}}}')
+        assert mask_elapsed(capsys.readouterr().out) == want
+
+    def test_chain_jsonl_lines(self, capsys):
+        assert main(["verify", "chain", "--max", "3", "--format", "jsonl"]) == 0
+        assert mask_elapsed(capsys.readouterr().out) == [
+            '{"kind": "chain-check", "i": 1, "restriction_ok": true, "induced_ok": true, "elapsed": E}',
+            '{"kind": "chain-check", "i": 2, "restriction_ok": true, "induced_ok": true, "elapsed": E}',
+            '{"kind": "summary", "result": "PASS", "max": 3, "checks": 2}',
+        ]
+
+    @pytest.fixture
+    def identity_family(self, monkeypatch):
+        # rho never yields a witness; the identities embed in each other
+        monkeypatch.setattr(cli, "verify_antichain", functools.partial(
+            verify_antichain, family=lambda i: Permutation.identity(i + 1)))
+
+    def test_witness_jsonl_lines(self, identity_family, capsys):
+        assert main(["verify", "antichain", "--max", "3", "--format", "jsonl"]) == 1
+        assert mask_elapsed(capsys.readouterr().out) == [
+            '{"kind": "antichain-check", "i": 1, "j": 2, "sigma": "base", "witness": [1, 2], "elapsed": E}',
+            '{"kind": "antichain-check", "i": 1, "j": 2, "sigma": "hat", "witness": null, "elapsed": E}',
+            '{"kind": "antichain-check", "i": 1, "j": 3, "sigma": "base", "witness": [1, 2], "elapsed": E}',
+            '{"kind": "antichain-check", "i": 1, "j": 3, "sigma": "hat", "witness": null, "elapsed": E}',
+            '{"kind": "antichain-check", "i": 2, "j": 3, "sigma": "base", "witness": [1, 2, 3], "elapsed": E}',
+            '{"kind": "antichain-check", "i": 2, "j": 3, "sigma": "hat", "witness": null, "elapsed": E}',
+            '{"kind": "summary", "result": "FAIL", "max": 3, "adjacent_only": false, "checks": 6}',
+        ]
+
+    def test_witness_text_lines(self, identity_family, capsys):
+        assert main(["verify", "antichain", "--max", "3", "--adjacent-only"]) == 1
+        assert mask_elapsed(capsys.readouterr().out) == [
+            "antichain pair (1,2) sigma=base: witness={1,2} E",
+            "antichain pair (1,2) sigma=hat: ok E",
+            "antichain pair (2,3) sigma=base: witness={1,2,3} E",
+            "antichain pair (2,3) sigma=hat: ok E",
+            "FAIL antichain max=3 checks=4",
+        ]
 
     def test_antichain_nan_timeout_is_a_usage_error(self, capsys):
         # a NaN deadline never passes: without the check it ran to PASS

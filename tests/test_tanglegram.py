@@ -228,6 +228,13 @@ class TestInduced:
             induced_subtanglegram(t, [(1, 1)])
         with pytest.raises(ValueError):
             induced_subtanglegram(t, [(1, 2), (1, 2)])
+        with pytest.raises(ValueError):
+            induced_subtanglegram(t, [[1, 2], [1, 2]])
+
+    def test_list_edges_answer_like_tuples(self):
+        t = catergram(Permutation((2, 3, 1)))
+        got = induced_subtanglegram(t, [[1, 2], [2, 3]])
+        assert format_tanglegram(got) == format_tanglegram(induced_subtanglegram(t, [(1, 2), (2, 3)]))
 
     @given(permutation_entries(3, 8), st.data())
     def test_left_label_induction_matches_restriction(self, entries, data):
