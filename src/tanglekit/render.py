@@ -5,8 +5,9 @@ first order position at the bottom. Internal vertices step away from
 their leaf line in proportion to their height and take the vertical
 midpoint of their children. Matching edges are straight segments, drawn
 dashed: SVG with the spec's dash pattern, TikZ always with its plain
-``dashed`` style. Both emitters are pure functions of the layout and the
-drawing spec, so repeated calls yield identical bytes.
+``dashed`` style. One scene resolves a layout's geometry once, and the
+two emitters only print it. Both are pure functions of the layout and
+the drawing spec, so repeated calls yield identical bytes.
 """
 
 from __future__ import annotations
@@ -63,55 +64,61 @@ def _place_tree(
     leaf_x: float,
     direction: int,
     unit: float,
-) -> tuple[dict[int, tuple[float, float]], list[tuple[int, int]]]:
-    """Vertex coordinates and the edge list (parent, child) in preorder."""
+):
+    """One tree's edges, vertices and leaves in the forms of
+    :func:`_scene`, and each leaf's formatted ``(x, y)`` by label."""
     n = len(order)
     leaf_y = {lab: (n - k) * unit for k, lab in enumerate(order, start=1)}
-    xy: dict[int, tuple[float, float]] = {}
-    edges: list[tuple[int, int]] = []
+    fx = _f(leaf_x)
+    vertices: list = [None] * tree.n_vertices
+    at: dict[Label, tuple[str, str]] = {}
+    edges: list[tuple[str, str, str, str]] = []
 
-    def leaf(lab: Label) -> tuple[int, float]:
+    def leaf(lab: Label):
         y = leaf_y[lab]
-        xy[tree.vertex_of(lab)] = (leaf_x, y)
-        return 0, y
+        vertices[tree.vertex_of(lab)] = (leaf_x, y, True)
+        at[lab] = p = (fx, _f(y))
+        return 0, y, p
 
-    def node(v: int, a: tuple[int, float], b: tuple[int, float]) -> tuple[int, float]:
-        first, second = tree.children(v)  # type: ignore[misc]
-        # the fold meets parents in reverse preorder; reversed below
-        edges.append((v, second))
-        edges.append((v, first))
+    def node(v: int, a, b):
         h = max(a[0], b[0]) + 1
         y = (a[1] + b[1]) / 2.0
-        xy[v] = (leaf_x + direction * h * 0.5 * unit, y)
-        return h, y
+        x = leaf_x + direction * h * 0.5 * unit
+        vertices[v] = (x, y, False)
+        p = (_f(x), _f(y))
+        # the fold meets parents in reverse preorder; reversed below
+        edges.append(p + b[2])
+        edges.append(p + a[2])
+        return h, y, p
 
     tree.fold(leaf, node)
     edges.reverse()
-    return xy, edges
+    return edges, vertices, [(leaf_x, leaf_y[lab], lab) for lab in order], at
 
 
-def _geometry(layout: Layout, spec: DrawingSpec):
+def _scene(layout: Layout, spec: DrawingSpec):
+    """What both printers draw, each coordinate of a segment formatted
+    once per vertex: the two trees' edges as ``(x1, y1, x2, y2)``
+    strings, parent first, parents in preorder; the matching edges in
+    the same form, in left order; every vertex as ``(x, y, is_leaf)``,
+    left tree then right, each in vertex-id order; and each side's
+    leaves as ``(x, y, label)`` in layout order. Vertices and leaves
+    stay raw floats, so each printer adds its own offsets."""
     t = layout.tanglegram
-    left_xy, left_edges = _place_tree(t.left, layout.left_order, 0.0, -1, spec.unit)
-    right_xy, right_edges = _place_tree(
-        t.right, layout.right_order, spec.gutter, +1, spec.unit
+    edges, vertices, leaves, (left_at, right_at) = zip(
+        _place_tree(t.left, layout.left_order, 0.0, -1, spec.unit),
+        _place_tree(t.right, layout.right_order, spec.gutter, +1, spec.unit),
     )
-    matching = []
-    for lab in layout.left_order:
-        partner = t.right_partner(lab)
-        lx, ly = left_xy[t.left.vertex_of(lab)]
-        rx, ry = right_xy[t.right.vertex_of(partner)]
-        matching.append((lx, ly, rx, ry))
-    return left_xy, left_edges, right_xy, right_edges, matching
+    matching = [left_at[lab] + right_at[t.right_partner(lab)] for lab in layout.left_order]
+    return edges, matching, vertices[0] + vertices[1], leaves
 
 
 def to_svg(layout: Layout, spec: DrawingSpec = DrawingSpec()) -> str:
     """Render as a standalone SVG 1.1 document (line, circle, rect, text)."""
-    t = layout.tanglegram
     u = spec.unit
-    left_xy, left_edges, right_xy, right_edges, matching = _geometry(layout, spec)
-    xs = [p[0] for p in left_xy.values()] + [p[0] for p in right_xy.values()]
-    ys = [p[1] for p in left_xy.values()] + [p[1] for p in right_xy.values()]
+    tree_edges, matching, vertices, leaves = _scene(layout, spec)
+    xs = [x for x, _, _ in vertices]
+    ys = [y for _, y, _ in vertices]
     pad = 1.5 * u
     minx, maxx = min(xs) - pad, max(xs) + pad
     miny, maxy = min(ys) - pad, max(ys) + pad
@@ -122,19 +129,13 @@ def to_svg(layout: Layout, spec: DrawingSpec = DrawingSpec()) -> str:
         f'width="{_f(maxx - minx)}" height="{_f(maxy - miny)}">'
     ]
 
-    for cls, tree, xy, edges in (
-        ("tree-left", t.left, left_xy, left_edges),
-        ("tree-right", t.right, right_xy, right_edges),
-    ):
+    for cls, edges in zip(("tree-left", "tree-right"), tree_edges):
         parts.append(
             f'<g class="{cls}" stroke="#303030" '
             f'stroke-width="{_f(spec.tree_stroke)}" fill="none">'
         )
-        for a, b in edges:
-            (x1, y1), (x2, y2) = xy[a], xy[b]
-            parts.append(
-                f'<line x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}"/>'
-            )
+        for x1, y1, x2, y2 in edges:
+            parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"/>')
         parts.append("</g>")
 
     parts.append(
@@ -144,32 +145,27 @@ def to_svg(layout: Layout, spec: DrawingSpec = DrawingSpec()) -> str:
     )
     for x1, y1, x2, y2 in matching:
         parts.append(
-            f'<line class="matching-edge" x1="{_f(x1)}" y1="{_f(y1)}" '
-            f'x2="{_f(x2)}" y2="{_f(y2)}"/>'
+            f'<line class="matching-edge" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"/>'
         )
     parts.append("</g>")
 
     half = 0.11 * u
+    size, r = _f(2 * half), _f(0.45 * half)
     parts.append('<g class="vertices" fill="#000000">')
-    for tree, xy in ((t.left, left_xy), (t.right, right_xy)):
-        for v in range(tree.n_vertices):
-            x, y = xy[v]
-            if tree.is_leaf(v):
-                parts.append(
-                    f'<rect x="{_f(x - half)}" y="{_f(y - half)}" '
-                    f'width="{_f(2 * half)}" height="{_f(2 * half)}"/>'
-                )
-            else:
-                parts.append(f'<circle cx="{_f(x)}" cy="{_f(y)}" r="{_f(0.45 * half)}"/>')
+    for x, y, is_leaf in vertices:
+        if is_leaf:
+            parts.append(
+                f'<rect x="{_f(x - half)}" y="{_f(y - half)}" width="{size}" height="{size}"/>'
+            )
+        else:
+            parts.append(f'<circle cx="{_f(x)}" cy="{_f(y)}" r="{r}"/>')
     parts.append("</g>")
 
     parts.append(f'<g class="labels" font-family="sans-serif" font-size="{_f(0.5 * u)}">')
-    for side, anchor, dx, tree, xy, order in (
-        ("left", "end", -0.45 * u, t.left, left_xy, layout.left_order),
-        ("right", "start", 0.45 * u, t.right, right_xy, layout.right_order),
+    for side, anchor, dx, side_leaves in zip(
+        ("left", "right"), ("end", "start"), (-0.45 * u, 0.45 * u), leaves
     ):
-        for lab in order:
-            x, y = xy[tree.vertex_of(lab)]
+        for x, y, lab in side_leaves:
             parts.append(
                 f'<text class="leaf-label-{side}" x="{_f(x + dx)}" '
                 f'y="{_f(y + 0.17 * u)}" text-anchor="{anchor}">{str(lab).translate(_XML_ESCAPES)}</text>'
@@ -182,34 +178,23 @@ def to_svg(layout: Layout, spec: DrawingSpec = DrawingSpec()) -> str:
 def to_tikz(layout: Layout, spec: DrawingSpec = DrawingSpec()) -> str:
     """Render as a tikzpicture; matching edges in TikZ's ``dashed`` style,
     whatever the spec's dash pattern."""
-    t = layout.tanglegram
-    left_xy, left_edges, right_xy, right_edges, matching = _geometry(layout, spec)
+    tree_edges, matching, vertices, leaves = _scene(layout, spec)
     lines = [r"\begin{tikzpicture}[x=1pt,y=-1pt]"]
-    for xy, edges in ((left_xy, left_edges), (right_xy, right_edges)):
-        for a, b in edges:
-            (x1, y1), (x2, y2) = xy[a], xy[b]
-            lines.append(
-                rf"\draw[line width={_f(spec.tree_stroke)}pt] "
-                rf"({_f(x1)},{_f(y1)}) -- ({_f(x2)},{_f(y2)});"
-            )
+    tree_width, matching_width = _f(spec.tree_stroke), _f(spec.matching_stroke)
+    for edges in tree_edges:
+        for x1, y1, x2, y2 in edges:
+            lines.append(rf"\draw[line width={tree_width}pt] ({x1},{y1}) -- ({x2},{y2});")
     for x1, y1, x2, y2 in matching:
         lines.append(
-            rf"\draw[dashed,line width={_f(spec.matching_stroke)}pt] "
-            rf"({_f(x1)},{_f(y1)}) -- ({_f(x2)},{_f(y2)});"
+            rf"\draw[dashed,line width={matching_width}pt] ({x1},{y1}) -- ({x2},{y2});"
         )
-    for tree, xy in ((t.left, left_xy), (t.right, right_xy)):
-        for v in range(tree.n_vertices):
-            x, y = xy[v]
-            shape = "rectangle" if tree.is_leaf(v) else "circle"
-            lines.append(
-                rf"\node[fill,{shape},inner sep=1.4pt] at ({_f(x)},{_f(y)}) {{}};"
-            )
-    for anchor, dx, tree, xy, order in (
-        ("east", -0.2 * spec.unit, t.left, left_xy, layout.left_order),
-        ("west", 0.2 * spec.unit, t.right, right_xy, layout.right_order),
+    for x, y, is_leaf in vertices:
+        shape = "rectangle" if is_leaf else "circle"
+        lines.append(rf"\node[fill,{shape},inner sep=1.4pt] at ({_f(x)},{_f(y)}) {{}};")
+    for anchor, dx, side_leaves in zip(
+        ("east", "west"), (-0.2 * spec.unit, 0.2 * spec.unit), leaves
     ):
-        for lab in order:
-            x, y = xy[tree.vertex_of(lab)]
+        for x, y, lab in side_leaves:
             label = str(lab).translate(_TEX_ESCAPES)
             lines.append(rf"\node[anchor={anchor}] at ({_f(x + dx)},{_f(y)}) {{{label}}};")
     lines.append(r"\end{tikzpicture}")

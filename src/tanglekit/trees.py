@@ -1,7 +1,7 @@
 """Rooted binary trees with uniquely labeled leaves.
 
 Every internal vertex has exactly two children and every leaf carries a
-label (an int, or a short string free of structural characters). Trees
+label (an int, or a printable string free of structural characters). Trees
 are immutable: operations that "modify" a tree return a new one.
 
 Vertices are integer ids assigned in preorder with the root at 0. Child
@@ -63,6 +63,8 @@ def _check_label(label: object) -> None:
         if label < 0:
             raise ValueError(f"int label {label!r} would read back as the str {str(label)!r}")
         return
+    if not label.isprintable():
+        raise ValueError(f"string label {label!r} contains an unprintable character")
     if not label or any(c in _FORBIDDEN_IN_LABELS or c.isspace() for c in label):
         raise ValueError(f"string label {label!r} is empty or contains a reserved character")
     if label_from_token(label) != label:
@@ -98,7 +100,8 @@ class RootedBinaryTree:
     Construct with :meth:`from_nested`, :meth:`from_newick` or
     :func:`caterpillar`; the raw constructor takes a child table and a
     leaf-label table and validates shape, connectivity and label
-    uniqueness. The private :meth:`_of` takes the same tables without
+    uniqueness. Each child-table entry is None (a leaf) or a pair of int
+    vertex ids. The private :meth:`_of` takes the same tables without
     any check, for trees derived from valid ones; both run the one
     derivation walk, :meth:`_walk`.
 
@@ -128,7 +131,15 @@ class RootedBinaryTree:
     ):
         table: list[tuple[int, int] | None] = []
         for k in kids:
-            table.append(None if k is None else (int(k[0]), int(k[1])))
+            if k is not None:
+                try:
+                    a, b = k
+                except (TypeError, ValueError):
+                    a = b = None
+                if type(a) is not int or type(b) is not int:
+                    raise ValueError("an internal vertex needs exactly two children")
+                k = (a, b)
+            table.append(k)
         table = tuple(table)
         m = len(table)
         if m == 0:

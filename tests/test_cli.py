@@ -538,6 +538,17 @@ class TestLayout:
         assert main(["layout", planar_file, "--emit", "tikz"]) == 0
         assert capsys.readouterr().out.startswith(r"\begin{tikzpicture}")
 
+    @pytest.mark.parametrize("char", ["\x01", "\x7f"])
+    @pytest.mark.parametrize("emit", ["svg", "tikz"])
+    def test_unprintable_label_is_a_usage_error(self, char, emit, tmp_path, capsys):
+        # the parser stops a label only at delimiters and whitespace
+        p = tmp_path / "unprintable.tg"
+        p.write_text(f"(a{char}b,c) ; (x,y) ; a{char}b:x,c:y\n")
+        assert main(["layout", str(p), "--emit", emit]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestPattern:
     def test_witness_found(self, capsys):

@@ -1,14 +1,18 @@
 """Rendering: SVG and TikZ structure, geometric faithfulness, determinism."""
 
+import hashlib
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, strategies as st
 
 from tanglekit import (
     DrawingSpec,
     Layout,
     Permutation,
+    RootedBinaryTree,
+    Tanglegram,
     catergram,
     count_crossings,
     parse_tanglegram,
@@ -19,10 +23,12 @@ from tanglekit import (
 )
 
 from conftest import (
+    _label_shape,
     count_segment_crossings,
     layouts,
     svg_leaf_order,
     svg_matching_segments,
+    tree_shapes,
 )
 
 
@@ -131,6 +137,40 @@ class TestSvg:
         assert count_segment_crossings(svg_matching_segments(svg)) == 0
 
 
+def _accepted(label) -> bool:
+    try:
+        RootedBinaryTree.from_nested(label)
+    except ValueError:
+        return False
+    return True
+
+
+# characters SVG or TeX treat specially, controls, DEL, format and
+# unassigned code points, mixed with any others
+LABEL_CHARS = st.one_of(st.sampled_from("<>&{}\\~^_%#$\x00\x01\x1b\x7f\x85\u200b\ufffe\uffff"),
+                        st.characters())
+
+
+@given(
+    st.lists(st.one_of(st.integers(0, 99), st.text(LABEL_CHARS, min_size=1, max_size=4)),
+             min_size=1, max_size=7, unique=True),
+    st.data(),
+)
+def test_every_accepted_label_draws_well_formed(candidates, data):
+    labels = [lab for lab in candidates if _accepted(lab)]
+    assume(labels)
+    n = len(labels)
+    left, right = (RootedBinaryTree.from_nested(_label_shape(data.draw(tree_shapes(n)), labels))
+                   for _ in range(2))
+    lay = Layout(Tanglegram(left, right, {lab: lab for lab in labels}), left.leaves, right.leaves)
+    ET.fromstring(to_svg(lay))
+    depth = 0
+    for c in re.sub(r"\\[{}]", "", to_tikz(lay)):
+        depth += (c == "{") - (c == "}")
+        assert depth >= 0
+    assert depth == 0
+
+
 class TestTikz:
     def test_environment_and_dashes(self):
         tikz = to_tikz(_sample_layout())
@@ -175,3 +215,47 @@ class TestText:
         t = catergram(Permutation((2, 1)))
         out = to_text(Layout(t, (1, 2), (1, 2)))
         assert out.endswith("crossings: 1\n")
+
+
+def _raw_layout():
+    # both trees built raw with vertex ids out of preorder: edges print
+    # in walk preorder, vertices in id order
+    left = RootedBinaryTree([(2, 1), None, (3, 4), None, None], {1: "a", 3: "b", 4: "c"})
+    right = RootedBinaryTree([(3, 1), (4, 2), None, None, None], {2: "y", 3: "z", 4: "x"})
+    t = Tanglegram(left, right, {"a": "x", "b": "y", "c": "z"})
+    return Layout(t, ("a", "c", "b"), ("x", "y", "z"))
+
+
+# sha256 of each drawing as first emitted; a change to any byte shows here
+PINNED_DRAWINGS = {
+    "every-field-non-default": (
+        lambda: rho_layout(3),
+        DrawingSpec(unit=17.5, gutter=133.25, tree_stroke=0.75, matching_stroke=2.0,
+                    dash_pattern="3, 1.5"),
+        "2597b3effef7b94b01b6b9f613c797a52da7cd989d26d798052a9ee808b21757",
+        "1f6c697a0e8d1a38f81fd33fbbe91856e8bddd0081768022d81ce454c3563e59",
+    ),
+    "rho40": (
+        lambda: rho_layout(40), DrawingSpec(),
+        "23d98b235f2f77e13e88534a49bef2834b9c0bc6424dcc4ff6b70c1fe9bb76e0",
+        "2f2d7e4849c54801df8aac37a6671b12483846983121b3739affac0c3eeb38d2",
+    ),
+    "odd-labels": (
+        _odd_label_layout, DrawingSpec(),
+        "808123e84b398a22a23c05430e6fe2294a18f27630a91209c41946c35da52aa5",
+        "fdd3faec5bb2694e00eb2db46d6d4b6a701d7a2b9cd1f4e565c5fbe53bb7024e",
+    ),
+    "ids-out-of-preorder": (
+        _raw_layout, DrawingSpec(),
+        "2bd92dc43fdf2dfc5c8b3f855a1c77f2013578438f5e91fe015340c97d2a2d3b",
+        "425f7e589200f139fa53f085954b3b90f07fad13bbc3a4b2fe9542177918e8d5",
+    ),
+}
+
+
+@pytest.mark.parametrize("emit", ["svg", "tikz"])
+@pytest.mark.parametrize("name", list(PINNED_DRAWINGS))
+def test_pinned_drawing(name, emit):
+    make, spec, svg_digest, tikz_digest = PINNED_DRAWINGS[name]
+    out, digest = (to_svg, svg_digest) if emit == "svg" else (to_tikz, tikz_digest)
+    assert hashlib.sha256(out(make(), spec).encode()).hexdigest() == digest

@@ -314,6 +314,27 @@ def test_rejects_labels_whose_token_reads_back_differently(label):
         RootedBinaryTree.from_nested((label, "a"))
 
 
+@pytest.mark.parametrize("label", ["a\x01b", "\x00", "\x7f", "\u200b", "\ufffe", "\uffff"])
+def test_rejects_unprintable_labels(label):
+    # controls, DEL, format characters and unassigned code points would be
+    # written raw into SVG that no XML parser reads
+    with pytest.raises(ValueError, match="unprintable"):
+        RootedBinaryTree.from_nested((label, "a"))
+
+
+@pytest.mark.parametrize("kids", [
+    [[1, 2, 3], None, None],  # a third child
+    [(1.7, 2.2), None, None],  # float ids
+    [("1", "2"), None, None],  # str ids
+    [(True, 2), None, None],  # a bool id
+    [[1], None],  # one child
+    [1, None, None],  # no pair at all
+])
+def test_rejects_child_entries_other_than_two_int_ids(kids):
+    with pytest.raises(ValueError, match="exactly two children"):
+        RootedBinaryTree(kids, {1: "a", 2: "b"})
+
+
 def test_accepts_labels_whose_token_reads_back_the_same():
     t = RootedBinaryTree.from_nested((("007", "\u0663"), (0, 12)))
     assert RootedBinaryTree.from_newick(t.to_newick()) == t
