@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .antichain import ChainCheck, PatternCheck, pi_seq, rho, verify_antichain, verify_chain
 from .errors import BudgetExceededError, InvalidLayoutError
@@ -27,7 +26,8 @@ from .tanglegram import (
 CENSUS_SIZE_CAP = 5
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's parser by name."""
     p = argparse.ArgumentParser(
         prog="tanglekit",
         description="Tanglegram toolkit: generate families, verify order relations, "
@@ -79,17 +79,19 @@ def build_parser() -> argparse.ArgumentParser:
     cs.add_argument("--size", type=int, required=True)
     cs.add_argument("--cap", type=int, default=CENSUS_SIZE_CAP)
 
-    return p
+    return p, sub.choices
 
 
-# Built once per process: parse_args leaves the parser as it was, and
+# Built once per process: parsing leaves the parsers as they were, and
 # usage errors and --help still write to the sys.stderr / sys.stdout
 # current at call time.
-_PARSER = build_parser()
+_PARSER, _COMMANDS = build_parser()
 
 
 def _read_tanglegram(path: str) -> Tanglegram:
-    text = Path(path).read_text()
+    # input files are UTF-8 whatever the locale
+    with open(path, "rb") as f:
+        text = f.read().decode("utf-8")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) != 1:
         raise ValueError(f"{path}: expected exactly one tanglegram line, got {len(lines)}")
@@ -217,8 +219,21 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    # A named command's parser reads the rest of argv, as the top-level
+    # parser would have it do. Any other argv, and a command's leftover
+    # arguments, go through the top-level parser, which answers or
+    # reports them as it always has.
+    command = _COMMANDS.get(argv[0]) if argv else None
     try:
-        args = _PARSER.parse_args(argv)
+        if command is None:
+            args = _PARSER.parse_args(argv)
+        else:
+            args, rest = command.parse_known_args(argv[1:])
+            if rest:
+                _PARSER.parse_args(argv)  # exits: unrecognized arguments
+            args.command = argv[0]
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     try:

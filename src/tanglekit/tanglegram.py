@@ -59,9 +59,9 @@ class Tanglegram:
             raise ValueError("matching repeats a left label")
         if left.n_leaves != right.n_leaves:
             raise ValueError("both trees must have the same number of leaves")
-        if set(fwd) != left.labels():
+        if fwd.keys() != left._vertex_of.keys():
             raise ValueError("matching keys must be exactly the left leaf labels")
-        if set(fwd.values()) != right.labels():
+        if right._vertex_of.keys() != set(fwd.values()):
             raise ValueError("matching values must be exactly the right leaf labels")
         self._fill(left, right, _by_left_label(fwd), fwd)
 

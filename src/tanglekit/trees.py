@@ -4,10 +4,12 @@ Every internal vertex has exactly two children and every leaf carries a
 label (an int, or a printable string free of structural characters). Trees
 are immutable: operations that "modify" a tree return a new one.
 
-Vertices are integer ids assigned in preorder with the root at 0. Child
-pairs keep a stored order; the order carries no meaning for equality,
-which is up to isomorphism of labeled rooted trees, but it anchors the
-text form and the enumeration of plane embeddings.
+Vertices are integer ids with the root at 0. Parsed and derived trees
+number them in preorder; the raw constructor accepts any numbering
+rooted at 0. Child pairs keep a stored order; the order carries no
+meaning for equality, which is up to isomorphism of labeled rooted
+trees, but it anchors the text form and the enumeration of plane
+embeddings.
 
 The text form is a Newick-like expression without a trailing semicolon:
 a leaf is its label token, an internal vertex is ``(A,B)``. Printing a
@@ -71,6 +73,19 @@ def _check_label(label: object) -> None:
         raise ValueError(f"str label {label!r} would read back as the int {int(label)}")
 
 
+def _reject_children(a: int, b: int, depth_of: list[int]) -> None:
+    # the fault of a child pair that the walk refused, child a first
+    m = len(depth_of)
+    for c in (a, b):
+        if not 0 <= c < m:
+            raise ValueError(f"child id {c} out of range")
+        if c == 0:
+            raise ValueError("the root cannot be a child")
+        if depth_of[c]:
+            raise ValueError(f"vertex {c} has two parents")
+        depth_of[c] = 1
+
+
 def _nested_table(nested: Nested) -> tuple[tuple[tuple[int, int] | None, ...], dict[int, Label]]:
     """The child table and leaf-label table of nested 2-tuples, vertex
     ids in preorder. Checks only that every tuple is a pair."""
@@ -103,7 +118,8 @@ class RootedBinaryTree:
     uniqueness. Each child-table entry is None (a leaf) or a pair of int
     vertex ids. The private :meth:`_of` takes the same tables without
     any check, for trees derived from valid ones; both run the one
-    derivation walk, :meth:`_walk`.
+    derivation walk, :meth:`_walk`, which checks the table as it goes
+    for the raw constructor.
 
     Every walk runs over the preorder vertex tuple, never by recursion,
     so depth does not limit tree size. The leaves below a vertex occupy
@@ -129,50 +145,23 @@ class RootedBinaryTree:
         kids: Sequence[tuple[int, int] | None],
         labels: Mapping[int, Label],
     ):
-        table: list[tuple[int, int] | None] = []
-        for k in kids:
-            if k is not None:
-                try:
-                    a, b = k
-                except (TypeError, ValueError):
-                    a = b = None
-                if type(a) is not int or type(b) is not int:
-                    raise ValueError("an internal vertex needs exactly two children")
-                k = (a, b)
-            table.append(k)
-        table = tuple(table)
-        m = len(table)
+        kids = tuple(kids)
+        m = len(kids)
         if m == 0:
             raise ValueError("a tree needs at least one vertex")
-
-        seen_child = [False] * m
-        for pair in table:
-            if pair is None:
-                continue
-            for c in pair:
-                if not 0 <= c < m:
-                    raise ValueError(f"child id {c} out of range")
-                if c == 0:
-                    raise ValueError("the root cannot be a child")
-                if seen_child[c]:
-                    raise ValueError(f"vertex {c} has two parents")
-                seen_child[c] = True
-
-        # With one parent per vertex and none for the root the walk
-        # visits each vertex at most once; it misses some when the
-        # table is disconnected.
-        leaf_ids = self._walk(table)
+        leaf_ids = self._walk(kids, True)
         if len(self._pre) != m:
             raise ValueError("tree is disconnected")
 
         label_of = dict(labels)
-        if set(label_of) != set(leaf_ids):
+        if label_of.keys() != set(leaf_ids):
             raise ValueError("labels must cover exactly the leaves")
         for lab in label_of.values():
-            _check_label(lab)
-        if len(set(label_of.values())) != len(label_of):
-            raise ValueError("leaf labels must be pairwise distinct")
+            if type(lab) is not int or lab < 0:  # a plain int >= 0 reads back as itself
+                _check_label(lab)
         self._name_leaves(label_of, leaf_ids)
+        if len(self._vertex_of) != len(label_of):
+            raise ValueError("leaf labels must be pairwise distinct")
 
     @classmethod
     def _of(
@@ -182,34 +171,50 @@ class RootedBinaryTree:
         for trees derived from valid ones. ``kids`` is a tuple of int
         pairs and Nones, and ``labels`` is kept, not copied."""
         tree = object.__new__(cls)
-        tree._name_leaves(labels, tree._walk(kids))
+        tree._name_leaves(labels, tree._walk(kids, False))
         return tree
 
-    def _walk(self, table: tuple[tuple[int, int] | None, ...]) -> list[int]:
-        # The one walk from the root, shared by both constructors: fills
-        # the preorder, each vertex's depth, its leaf interval and the
-        # preorder bit index of each internal vertex, and returns the
-        # leaf ids in stored order.
-        m = len(table)
+    def _walk(self, kids: Sequence[tuple[int, int] | None], check: bool) -> list[int]:
+        # The one walk from the root, shared by both constructors. With
+        # ``check`` it checks each child pair where it meets it: two int
+        # ids, in range, neither the root nor a vertex given a parent
+        # already. So it visits each vertex at most once, and misses some
+        # when the table is disconnected. It fills the child table, the
+        # preorder, each vertex's depth, its leaf interval and the preorder
+        # bit index of each internal vertex, and returns the leaf ids in
+        # stored order.
+        m = len(kids)
+        table = [None] * m if check else kids
         pre: list[int] = []
         leaf_ids: list[int] = []
         lo = [0] * m
-        depth_of = [0] * m
+        depth_of = [0] * m  # nonzero once a vertex has a parent: the root has none
         internal_bit: dict[int, int] = {}
         stack = [0]
         while stack:
             v = stack.pop()
             pre.append(v)
             lo[v] = len(leaf_ids)
-            pair = table[v]
+            pair = kids[v]
             if pair is None:
                 leaf_ids.append(v)
+                continue
+            if check:
+                try:
+                    a, b = pair
+                except (TypeError, ValueError):
+                    a = b = None
+                if type(a) is not int or type(b) is not int:
+                    raise ValueError("an internal vertex needs exactly two children")
+                if not (0 < a < m and 0 < b < m) or a == b or depth_of[a] or depth_of[b]:
+                    _reject_children(a, b, depth_of)
+                table[v] = (a, b)
             else:
-                internal_bit[v] = len(internal_bit)
                 a, b = pair
-                depth_of[a] = depth_of[b] = depth_of[v] + 1
-                stack.append(b)
-                stack.append(a)
+            internal_bit[v] = len(internal_bit)
+            depth_of[a] = depth_of[b] = depth_of[v] + 1
+            stack.append(b)
+            stack.append(a)
 
         # a vertex's leaf interval ends where its second child's ends
         hi = [0] * m
@@ -217,7 +222,7 @@ class RootedBinaryTree:
             pair = table[v]
             hi[v] = lo[v] + 1 if pair is None else hi[pair[1]]
 
-        self._kids = table
+        self._kids = tuple(table)
         self._pre = tuple(pre)
         self._depth_of = tuple(depth_of)
         self._internal_bit = internal_bit
@@ -290,40 +295,42 @@ class RootedBinaryTree:
     def from_newick(cls, text: str) -> "RootedBinaryTree":
         """Parse the Newick-like text form; see :func:`label_from_token`."""
         s = text.strip()
+        n = len(s)
         pos = 0
-        kids: list[list[int] | None] = []
+        # Vertex ids in preorder, so an internal vertex v has first child
+        # v + 1 and gets its pair at its ','; until then its entry is ().
+        kids: list[tuple[int, int] | tuple[()] | None] = []
         labels: dict[int, Label] = {}
         open_: list[int] = []  # internal vertices still missing a ',' or ')'
         while True:
-            if pos >= len(s):
+            if pos >= n:
                 raise ValueError("unexpected end of tree text")
-            v = len(kids)
-            if open_:
-                kids[open_[-1]].append(v)  # type: ignore[union-attr]
             if s[pos] == "(":
-                kids.append([])
-                open_.append(v)
+                open_.append(len(kids))
+                kids.append(())
                 pos += 1
                 continue
             start = pos
-            while pos < len(s) and s[pos] not in _NEWICK_DELIMS and not s[pos].isspace():
+            while pos < n and s[pos] not in _NEWICK_DELIMS and not s[pos].isspace():
                 pos += 1
             if pos == start:
                 raise ValueError(f"expected a leaf label at column {pos}")
+            labels[len(kids)] = label_from_token(s[start:pos])
             kids.append(None)
-            labels[v] = label_from_token(s[start:pos])
             # a subtree is complete: close every vertex it completes
-            while open_ and len(kids[open_[-1]]) == 2:  # type: ignore[arg-type]
-                if pos >= len(s) or s[pos] != ")":
+            while open_ and kids[open_[-1]]:
+                if pos >= n or s[pos] != ")":
                     raise ValueError(f"expected ')' at column {pos}")
                 pos += 1
                 open_.pop()
             if not open_:
                 break
-            if pos >= len(s) or s[pos] != ",":
+            if pos >= n or s[pos] != ",":
                 raise ValueError(f"expected ',' at column {pos}")
             pos += 1
-        if pos != len(s):
+            v = open_[-1]
+            kids[v] = (v + 1, len(kids))
+        if pos != n:
             raise ValueError(f"trailing text after tree: {s[pos:]!r}")
         return cls(kids, labels)  # type: ignore[arg-type]
 

@@ -506,6 +506,30 @@ def suppressed_nested(nested, keep):
     return b if a is None else a if b is None else (a, b)
 
 
+def is_tree_table(kids) -> bool:
+    """Whether a child table is a rooted binary tree at vertex 0: every
+    entry None or a pair of int ids in range, the root no vertex's child,
+    every other vertex exactly one's, and every vertex reached from the
+    root. Counts parents first, then searches, apart from the library."""
+    m = len(kids)
+    parents = [0] * m
+    for pair in kids:
+        if pair is None:
+            continue
+        if len(pair) != 2 or any(type(c) is not int or not 0 <= c < m for c in pair):
+            return False
+        for c in pair:
+            parents[c] += 1
+    if m == 0 or parents[0] or any(p != 1 for p in parents[1:]):
+        return False
+    seen, todo = {0}, [0]
+    while todo:
+        for c in kids[todo.pop()] or ():
+            seen.add(c)
+            todo.append(c)
+    return len(seen) == m
+
+
 def checked_copy(tree: RootedBinaryTree) -> RootedBinaryTree:
     """The tree rebuilt from its own tables by the checked constructor."""
     return RootedBinaryTree(tree._kids, tree._label_of)
@@ -557,6 +581,15 @@ def run_cli(argv, timeout: float) -> subprocess.CompletedProcess:
          "sys.exit(main(sys.argv[1:]))", *argv],
         env=env, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def run_module(argv, timeout: float, flags=(), **env) -> subprocess.CompletedProcess:
+    """``python [flags] -m tanglekit argv`` in a fresh interpreter, with
+    ``env`` added to the environment: the entry point that calls
+    ``main()`` without an argv."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tanglekit.__file__).parent.parent), **env)
+    return subprocess.run([sys.executable, *flags, "-m", "tanglekit", *argv],
+                          env=env, capture_output=True, timeout=timeout)
 
 
 # ------------------------------------------------------------- fixtures

@@ -34,6 +34,7 @@ from conftest import (
     random_tanglegram,
     rank_standardize,
     run_cli,
+    run_module,
     svg_leaf_order,
 )
 
@@ -678,6 +679,124 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "tanglekit" in capsys.readouterr().out
+
+
+TOP_USAGE = ("usage: tanglekit [-h]\n"
+             "                 {gen,verify,planar,crossing-number,layout,pattern,induced,census}\n"
+             "                 ...\n")
+# argv and the sha256 of the help text it prints to stdout (exit 0, no stderr)
+PINNED_HELP = [
+    (["-h"], "4d5c33e687141a8842b079df2693a7e9188622d92b39ed224cb46d4941c2c14b"),
+    (["--help"], "4d5c33e687141a8842b079df2693a7e9188622d92b39ed224cb46d4941c2c14b"),
+    (["--he"], "4d5c33e687141a8842b079df2693a7e9188622d92b39ed224cb46d4941c2c14b"),
+    (["gen", "-h"], "e0985ecf230421d7d299bda86cc8f17993b07914a945fe27c397f7c553bf1ed8"),
+    (["gen", "rho", "-h"], "1546107fc5f15623e9acca0f22d757fa07a003a4830fe61dfa34ef8b1468b752"),
+    (["verify", "-h"], "e7aa539cd8c01451e027cfefe84cc2e0d079e7c24ce4ad98a2f0ec5d9a5e246a"),
+    (["verify", "antichain", "-h"], "de01ff40594d5913dde3662e0877706ddde52040a8d9c585f0e52e29eb118bdc"),
+    (["verify", "chain", "-h"], "e5a92e09795e714c9ec47d4b50c7fb774a0849aaa41bb1646b3bb72ab92736e5"),
+    (["planar", "-h"], "1d15f82464900e8dbf2d7dfbcdac9f6e98aa868214792b3f83d6f76cb86b2a89"),
+    (["planar", "--h"], "1d15f82464900e8dbf2d7dfbcdac9f6e98aa868214792b3f83d6f76cb86b2a89"),
+    (["crossing-number", "-h"], "67e1a87ed31748efed9a79c49d5bcc4ca1b891edafa4095ee5e9b89ceb761183"),
+    (["layout", "-h"], "9e13e89c0c71af9c05baf1b7823d0b9ac48ae09b9506ae860fa0aa011eecdfb6"),
+    (["pattern", "-h"], "83dc449cc032702dcb8944f28ed9377a1b8e4d4fbc0d0049adf7ba2ea1b1bba1"),
+    (["induced", "-h"], "0c88a4f03bd6592a020007d238d39f31c4e109dbe2915ff89629113b1ebf277a"),
+    (["census", "-h"], "6c13da5350ca5b556c4616da6cad1520f0d99276d7636c242c600ae0167a2882"),
+]
+# argv, exit code, stdout, stderr
+PINNED_USAGE = [
+    ([], 2, "", TOP_USAGE + "tanglekit: error: the following arguments are required: command\n"),
+    (["-x"], 2, "", TOP_USAGE + "tanglekit: error: the following arguments are required: command\n"),
+    (["frobnicate"], 2, "", TOP_USAGE + "tanglekit: error: argument command: invalid choice: "
+     "'frobnicate' (choose from 'gen', 'verify', 'planar', 'crossing-number', 'layout', "
+     "'pattern', 'induced', 'census')\n"),
+    (["gen"], 2, "", "usage: tanglekit gen [-h] {rho,pi} ...\n"
+     "tanglekit gen: error: the following arguments are required: family\n"),
+    (["verify"], 2, "", "usage: tanglekit verify [-h] {antichain,chain} ...\n"
+     "tanglekit verify: error: the following arguments are required: target\n"),
+    (["census"], 2, "", "usage: tanglekit census [-h] --size SIZE [--cap CAP]\n"
+     "tanglekit census: error: the following arguments are required: --size\n"),
+    (["census", "--size", "3", "--size"], 2, "",
+     "usage: tanglekit census [-h] --size SIZE [--cap CAP]\n"
+     "tanglekit census: error: argument --size: expected one argument\n"),
+    (["pattern", "--pi", "(1,2)"], 2, "", "usage: tanglekit pattern [-h] --pi PERM --rho PERM\n"
+     "tanglekit pattern: error: the following arguments are required: --rho\n"),
+    (["planar", "f", "--method", "brute"], 2, "",
+     "usage: tanglekit planar [-h] [--method {kuratowski,oracle}] file\n"
+     "tanglekit planar: error: argument --method: invalid choice: 'brute' "
+     "(choose from 'kuratowski', 'oracle')\n"),
+    (["verify", "chain", "--max", "x"], 2, "",
+     "usage: tanglekit verify chain [-h] --max MAX_INDEX [--format {text,jsonl}]\n"
+     "tanglekit verify chain: error: argument --max: invalid int value: 'x'\n"),
+    # arguments a subcommand leaves over are reported by the top-level parser
+    (["planar", "a", "b"], 2, "", TOP_USAGE + "tanglekit: error: unrecognized arguments: b\n"),
+    (["verify", "chain", "--max", "3", "--bogus"], 2, "",
+     TOP_USAGE + "tanglekit: error: unrecognized arguments: --bogus\n"),
+    (["census", "--siz", "3"], 0, "size 3: 2 tanglegrams\ncrossings 0: 2\n", ""),
+    (["gen", "pi", "-1"], 2, "", "error: family index must be at least 1\n"),
+]
+
+
+class TestPinnedUsage:
+    """Every byte argparse prints, and the exit code, for help and usage errors."""
+
+    @pytest.fixture(autouse=True)
+    def _columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("argv,digest", PINNED_HELP, ids=[" ".join(a) for a, _ in PINNED_HELP])
+    def test_help(self, argv, digest, capsys):
+        assert main(argv) == 0
+        got = capsys.readouterr()
+        assert got.err == ""
+        assert hashlib.sha256(got.out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv,code,out,err", PINNED_USAGE,
+                             ids=[" ".join(a) or "no-args" for a, _, _, _ in PINNED_USAGE])
+    def test_usage(self, argv, code, out, err, capsys):
+        assert main(argv) == code
+        assert capsys.readouterr() == (out, err)
+
+    def test_double_dash_ends_options(self, planar_file, capsys):
+        assert main(["planar", "--", planar_file]) == 0
+        assert capsys.readouterr() == ("true\n", "")
+
+
+class TestModuleEntry:
+    """``python -m tanglekit`` calls ``main()`` without an argv, so
+    ``main`` reads ``sys.argv``."""
+
+    def test_a_command_answers(self, planar_file):
+        proc = run_module(["planar", planar_file], timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"true\n", b"")
+
+    def test_a_bare_call_prints_the_usage(self):
+        proc = run_module([], timeout=60, COLUMNS="80")
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.decode() == (
+            TOP_USAGE + "tanglekit: error: the following arguments are required: command\n")
+
+
+class TestInputEncoding:
+    """Input files are read as UTF-8 whatever the locale: here an ASCII
+    locale, with Python's UTF-8 mode off."""
+
+    @pytest.fixture
+    def accented_file(self, tmp_path):
+        p = tmp_path / "accented.tgl"
+        p.write_bytes("(\u00e9,b) ; (b,\u00e9) ; \u00e9:\u00e9,b:b\n".encode("utf-8"))
+        return str(p)
+
+    def test_read_in_an_ascii_locale(self, accented_file):
+        proc = run_module(["crossing-number", accented_file], timeout=60, flags=("-X", "utf8=0"),
+                          LC_ALL="C", PYTHONIOENCODING="")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"0\n", b"")
+
+    def test_drawn_in_an_ascii_locale(self, accented_file):
+        # the drawing is printed in the stdout encoding, which has to hold the label
+        proc = run_module(["layout", accented_file], timeout=60, flags=("-X", "utf8=0"),
+                          LC_ALL="C", PYTHONIOENCODING="utf-8")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert "\u00e9" in proc.stdout.decode("utf-8")
 
 
 class TestSharedParser:

@@ -434,6 +434,30 @@ class TestTextForm:
         with pytest.raises(ValueError):
             parse_tanglegram(bad)
 
+    @pytest.mark.parametrize("text,message", [
+        ("only ; two", "expected '<left tree> ; <right tree> ; <matching>'"),
+        ("a;b;c;d", "expected '<left tree> ; <right tree> ; <matching>'"),
+        ("(1,2) ; (1,2) ; 1-1,2-2", "bad matching entry ' 1-1', expected left:right"),
+        ("(1,2) ; (1,2) ; 1:1:2,2:2", "bad matching entry ' 1:1:2', expected left:right"),
+        ("(1,2) ; (1,2) ; 1:1,2:2,", "bad matching entry '', expected left:right"),
+        ("(1,2) ; (1,2) ; :1,2:2", "empty label token"),
+        ("(1,2) ; (1,2) ; 1:1,1:2", "matching repeats a left label"),
+        ("(1,2) ; ((1,2),3) ; 1:1,2:2", "both trees must have the same number of leaves"),
+        ("(1,2) ; (1,2) ; 1:1", "matching keys must be exactly the left leaf labels"),
+        ("(1,2) ; (1,2) ; 1:1,3:2", "matching keys must be exactly the left leaf labels"),
+        ("(1,2) ; (1,2) ; 1:1,2:1", "matching values must be exactly the right leaf labels"),
+        ("(1,2) ; (1,2) ; 1:1,2:3", "matching values must be exactly the right leaf labels"),
+        ("(1,2 ; (1,2) ; 1:1,2:2", "expected ')' at column 4"),
+        ("(1,2) ; (1,2)) ; 1:1,2:2", "trailing text after tree: ')'"),
+        ("catergram (1,1)", "values must be pairwise distinct"),
+        ("catergram 2,1", "permutation text must be parenthesized: '2,1'"),
+        ("catergram (1)", "a catergram needs size at least 2"),
+    ])
+    def test_parse_error_messages(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_tanglegram(text)
+        assert str(err.value) == message
+
     @given(tanglegrams(2, 6))
     def test_round_trip_arbitrary(self, t):
         assert equal(parse_tanglegram(format_tanglegram(t)), t)

@@ -13,6 +13,7 @@ from conftest import (
     assert_same_slots,
     brute_lca_bit,
     checked_copy,
+    is_tree_table,
     ordered_shapes,
     random_nested,
     suppressed_nested,
@@ -354,3 +355,126 @@ def test_every_mask_order_is_consistent(shape, mask):
     order = t.leaf_order(mask)
     assert t.order_consistent(order)
     assert sorted(order) == [1, 2, 3, 4, 5, 6]
+
+
+# Each malformed input and the exact message it is rejected with.
+NEWICK_ERRORS = [
+    ("", "unexpected end of tree text"),
+    ("   ", "unexpected end of tree text"),
+    ("(", "unexpected end of tree text"),
+    ("(a,", "unexpected end of tree text"),
+    ("(a", "expected ',' at column 2"),
+    ("(a b)", "expected ',' at column 2"),
+    ("(a)", "expected ',' at column 2"),
+    ("(a,(b)", "expected ',' at column 5"),
+    ("(a;b,c)", "expected ',' at column 2"),
+    ("(,a)", "expected a leaf label at column 1"),
+    ("(a,)", "expected a leaf label at column 3"),
+    (")", "expected a leaf label at column 0"),
+    ("(a,b,c)", "expected ')' at column 4"),
+    ("(a,b", "expected ')' at column 4"),
+    ("a)b", "trailing text after tree: ')b'"),
+    ("(a,b) c", "trailing text after tree: ' c'"),
+    ("(a,b)(c,d)", "trailing text after tree: '(c,d)'"),
+    ("((a,b),c))", "trailing text after tree: ')'"),
+    ("(a,b\x01)", "string label 'b\\x01' contains an unprintable character"),
+    ("(\x00,b)", "string label '\\x00' contains an unprintable character"),
+    ("(a,​)", "string label '\\u200b' contains an unprintable character"),
+    ("(a,a)", "leaf labels must be pairwise distinct"),
+    ("((1,2),(3,1))", "leaf labels must be pairwise distinct"),
+    ("(a:b,c)", "string label 'a:b' is empty or contains a reserved character"),
+    ("(a,b:)", "string label 'b:' is empty or contains a reserved character"),
+]
+NESTED_ERRORS = [
+    (("12", "a"), "str label '12' would read back as the int 12"),
+    (("0", "a"), "str label '0' would read back as the int 0"),
+    ((-1, "a"), "int label -1 would read back as the str '-1'"),
+    ((True, 2), "leaf labels must be int or str, got True"),
+    ((1.5, 2), "leaf labels must be int or str, got 1.5"),
+    ((None, 1), "leaf labels must be int or str, got None"),
+    (("", "a"), "string label '' is empty or contains a reserved character"),
+    (("a b", "c"), "string label 'a b' is empty or contains a reserved character"),
+    (("a(", "b"), "string label 'a(' is empty or contains a reserved character"),
+    (((1, 2, 3), 4), "an internal vertex needs exactly two children"),
+]
+# raw child tables with one fault each
+TABLE_ERRORS = [
+    ([], {}, "a tree needs at least one vertex"),
+    ([(1, 3), None, None], {1: "a", 2: "b"}, "child id 3 out of range"),
+    ([(1, -1), None, None], {1: "a", 2: "b"}, "child id -1 out of range"),
+    ([(0, 1), None], {1: "a"}, "the root cannot be a child"),
+    ([(1, 2), (3, 4), (4, 5), None, None, None], {3: "a", 4: "b", 5: "c"}, "vertex 4 has two parents"),
+    ([(1, 2), (2, 2), None], {2: "a"}, "vertex 2 has two parents"),
+    ([(1, 2), None, None, None], {1: "a", 2: "b", 3: "c"}, "tree is disconnected"),
+    ([None, None], {0: "a", 1: "b"}, "tree is disconnected"),
+    ([[1, 2, 3], None, None], {1: "a", 2: "b"}, "an internal vertex needs exactly two children"),
+    ([(1.0, 2), None, None], {1: "a", 2: "b"}, "an internal vertex needs exactly two children"),
+    ([1, None, None], {1: "a", 2: "b"}, "an internal vertex needs exactly two children"),
+    ([(1, 2), None, None], {0: "r", 1: "a", 2: "b"}, "labels must cover exactly the leaves"),
+    ([(1, 2), None, None], {1: "a"}, "labels must cover exactly the leaves"),
+    ([(1, 2), None, None], {1: "a", 2: "a"}, "leaf labels must be pairwise distinct"),
+    ([(1, 2), None, None], {1: "a", 2: -3}, "int label -3 would read back as the str '-3'"),
+]
+# tables with several faults: any message will do, but they must be rejected
+MULTI_FAULT_TABLES = [
+    ([(1, 9), (0, 1), None], {2: "a"}),
+    ([(1, 2), (0, 3)], {}),
+    ([(1, 2), None, None, (1, 4), None], {1: "a", 2: "b", 4: "c"}),
+    ([(1, 2), None, None, (0, 9)], {1: "a", 2: "b"}),
+    ([(1, 2), None, None, "x"], {1: "a", 2: "b"}),
+    ([(2, 1), (2, 2), None], {2: "a", 1: "a"}),
+    ([(1, 1)], {}),
+    ([(1, 2), (1, 1), None], {2: "\x00"}),
+    # a child given twice: counting visits alone would take it for a tree
+    ([(1, 1), None, None], {1: "a"}),
+]
+
+
+@pytest.mark.parametrize("text,message", NEWICK_ERRORS)
+def test_newick_error_messages(text, message):
+    with pytest.raises(ValueError) as err:
+        RootedBinaryTree.from_newick(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("nested,message", NESTED_ERRORS)
+def test_nested_error_messages(nested, message):
+    with pytest.raises(ValueError) as err:
+        RootedBinaryTree.from_nested(nested)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kids,labels,message", TABLE_ERRORS)
+def test_table_error_messages(kids, labels, message):
+    with pytest.raises(ValueError) as err:
+        RootedBinaryTree(kids, labels)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kids,labels", MULTI_FAULT_TABLES)
+def test_tables_with_several_faults_are_rejected(kids, labels):
+    with pytest.raises(ValueError):
+        RootedBinaryTree(kids, labels)
+
+
+def test_checked_walk_agrees_with_a_table_oracle():
+    # valid tables with one or two child ids overwritten: the checked
+    # constructor accepts exactly the trees, and builds what _of builds
+    rng = random.Random(18)
+    verdicts = set()
+    for _ in range(600):
+        nested = random_nested(rng, list(range(rng.randint(1, 9))))
+        kids = [list(k) if k else None for k in RootedBinaryTree.from_nested(nested)._kids]
+        internal = [v for v, k in enumerate(kids) if k]
+        for _ in range(rng.randint(0, 2) if internal else 0):
+            kids[rng.choice(internal)][rng.randrange(2)] = rng.randrange(-1, len(kids) + 1)
+        labels = {v: f"x{v}" for v, k in enumerate(kids) if k is None}
+        ok = is_tree_table(kids)
+        verdicts.add(ok)
+        if not ok:
+            with pytest.raises(ValueError):
+                RootedBinaryTree(kids, labels)
+            continue
+        table = tuple(tuple(k) if k else None for k in kids)
+        assert_same_slots(RootedBinaryTree(kids, labels), RootedBinaryTree._of(table, labels))
+    assert verdicts == {True, False}
