@@ -17,16 +17,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import BudgetExceededError
 from .perm import Permutation, bar_members, contains_pattern, pi_seq, restrict, rho, tilde
 from .tanglegram import catergram, is_induced_sub
 
 
-@dataclass(frozen=True)
-class PatternCheck:
+class PatternCheck(NamedTuple):
     """One pattern search: bar-set member ``sigma`` of rho(i) against rho(j)."""
 
     i: int
@@ -36,8 +34,7 @@ class PatternCheck:
     elapsed: float
 
 
-@dataclass(frozen=True)
-class AntichainReport:
+class AntichainReport(NamedTuple):
     max_index: int
     adjacent_only: bool
     checks: tuple[PatternCheck, ...]
@@ -90,8 +87,7 @@ def verify_antichain(
     return AntichainReport(max_index, adjacent_only, tuple(checks))
 
 
-@dataclass(frozen=True)
-class ChainCheck:
+class ChainCheck(NamedTuple):
     """Containment of member i in member i+1 of the nested family."""
 
     i: int
@@ -100,8 +96,7 @@ class ChainCheck:
     elapsed: float
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     max_index: int
     checks: tuple[ChainCheck, ...]
 

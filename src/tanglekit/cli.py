@@ -99,9 +99,9 @@ def _read_tanglegram(path: str) -> Tanglegram:
 
 
 def _emit(kind: str, rec: PatternCheck | ChainCheck, text, fmt: str) -> None:
-    # keys follow the dataclass fields; the text line is built only when printed
+    # keys follow the record's fields; the text line is built only when printed
     if fmt == "jsonl":
-        print(json.dumps({"kind": kind, **vars(rec), "elapsed": round(rec.elapsed, 6)}))
+        print(json.dumps({"kind": kind, **rec._asdict(), "elapsed": round(rec.elapsed, 6)}))
     else:
         print(text(rec))
 
@@ -219,8 +219,10 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
+    if argv is None:  # run as a program: its output is UTF-8 whatever the locale
         argv = sys.argv[1:]
+        if hasattr(sys.stdout, "reconfigure"):
+            sys.stdout.reconfigure(encoding="utf-8")
     # A named command's parser reads the rest of argv, as the top-level
     # parser would have it do. Any other argv, and a command's leftover
     # arguments, go through the top-level parser, which answers or

@@ -32,8 +32,7 @@ only when that strictly lowers the count. A zero ends the sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import BudgetExceededError, InvalidLayoutError
 from .perm import Permutation, count_inversions, rho
@@ -47,24 +46,27 @@ DEFAULT_SIZE_CAP = 12
 _BLOCK_BITS = 12
 
 
-@dataclass(frozen=True)
-class Layout:
-    """A tanglegram with a consistent leaf order on each side.
-
-    Construction validates both orders; an inconsistent or non-bijective
-    order raises InvalidLayoutError.
-    """
-
+class _LayoutFields(NamedTuple):
     tanglegram: Tanglegram
     left_order: tuple[Label, ...]
     right_order: tuple[Label, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "left_order", tuple(self.left_order))
-        object.__setattr__(self, "right_order", tuple(self.right_order))
+
+class Layout(_LayoutFields):
+    """A tanglegram with a consistent leaf order on each side.
+
+    Construction validates both orders, given as any iterables and kept
+    as tuples; an inconsistent or non-bijective order raises
+    InvalidLayoutError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, tanglegram: Tanglegram, left_order, right_order):
+        self = super().__new__(cls, tanglegram, tuple(left_order), tuple(right_order))
         for tree, order, side in (
-            (self.tanglegram.left, self.left_order, "left"),
-            (self.tanglegram.right, self.right_order, "right"),
+            (tanglegram.left, self.left_order, "left"),
+            (tanglegram.right, self.right_order, "right"),
         ):
             try:
                 ok = tree.order_consistent(order)
@@ -72,6 +74,11 @@ class Layout:
                 raise InvalidLayoutError(f"{side} order: {exc}") from None
             if not ok:
                 raise InvalidLayoutError(f"{side} order is not consistent with the {side} tree")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
 
 def layout_permutation(layout: Layout) -> Permutation:

@@ -14,34 +14,43 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .layout import Layout, count_crossings
 from .trees import Label, RootedBinaryTree
 
 
-@dataclass(frozen=True)
-class DrawingSpec:
+class _DrawingSpecFields(NamedTuple):
+    unit: float
+    gutter: float
+    tree_stroke: float
+    matching_stroke: float
+    dash_pattern: str
+
+
+class DrawingSpec(_DrawingSpecFields):
     """Sizes in points and the matching's dash pattern. The dash pattern
     styles SVG only (its ``stroke-dasharray``); TikZ output ignores it."""
 
-    unit: float = 24.0
-    gutter: float = 240.0
-    tree_stroke: float = 1.5
-    matching_stroke: float = 1.2
-    dash_pattern: str = "6 4"
+    __slots__ = ()
 
-    def __post_init__(self):
-        sizes = (self.unit, self.gutter, self.tree_stroke, self.matching_stroke)
+    def __new__(cls, unit: float = 24.0, gutter: float = 240.0, tree_stroke: float = 1.5,
+                matching_stroke: float = 1.2, dash_pattern: str = "6 4"):
+        sizes = (unit, gutter, tree_stroke, matching_stroke)
         if not all(isinstance(x, (int, float)) and math.isfinite(x) for x in sizes):
             raise ValueError("unit, gutter and strokes must be finite numbers")
-        if self.unit <= 0 or self.gutter <= 0:
+        if unit <= 0 or gutter <= 0:
             raise ValueError("unit and gutter must be positive")
-        if self.tree_stroke < 0 or self.matching_stroke < 0:
+        if tree_stroke < 0 or matching_stroke < 0:
             raise ValueError("strokes must be non-negative")
-        if not (isinstance(self.dash_pattern, str) and _DASH_PATTERN.fullmatch(self.dash_pattern)):
-            raise ValueError(f"dash pattern {self.dash_pattern!r} is not non-negative numbers "
+        if not (isinstance(dash_pattern, str) and _DASH_PATTERN.fullmatch(dash_pattern)):
+            raise ValueError(f"dash pattern {dash_pattern!r} is not non-negative numbers "
                              "separated by commas or spaces")
+        return super().__new__(cls, unit, gutter, tree_stroke, matching_stroke, dash_pattern)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
 
 def _f(x: float) -> str:

@@ -19,10 +19,9 @@ the bar set of that permutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .perm import Permutation, bar_members, pattern_occurs, standardize
 from .trees import (
@@ -177,9 +176,9 @@ def catergram_permutation(t: Tanglegram) -> Permutation:
 # ----------------------------------------------------------------------
 # distance pairs
 
-@dataclass(frozen=True)
-class DistancePairMultiset:
-    """Multiset of (left depth, right depth) pairs, one per matching edge."""
+class DistancePairMultiset(NamedTuple):
+    """Multiset of (left depth, right depth) pairs, one per matching edge.
+    Its length is the number of pairs."""
 
     pairs: tuple[tuple[int, int], ...]
 

@@ -777,8 +777,8 @@ class TestModuleEntry:
 
 
 class TestInputEncoding:
-    """Input files are read as UTF-8 whatever the locale: here an ASCII
-    locale, with Python's UTF-8 mode off."""
+    """Input files are read, and the program's output written, as UTF-8
+    whatever the locale: here an ASCII locale, with Python's UTF-8 mode off."""
 
     @pytest.fixture
     def accented_file(self, tmp_path):
@@ -797,6 +797,18 @@ class TestInputEncoding:
                           LC_ALL="C", PYTHONIOENCODING="utf-8")
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert "\u00e9" in proc.stdout.decode("utf-8")
+
+    @pytest.mark.parametrize("emit", ["text", "svg", "tikz"])
+    def test_drawn_in_utf8_whatever_the_locale(self, accented_file, emit):
+        # the program writes UTF-8 with no PYTHONIOENCODING to ask for it
+        argv = ["layout", accented_file, "--emit", emit]
+        ascii_run = run_module(argv, timeout=60, flags=("-X", "utf8=0"),
+                               LC_ALL="C", PYTHONIOENCODING="")
+        utf8_run = run_module(argv, timeout=60, flags=("-X", "utf8=1"), PYTHONIOENCODING="")
+        assert (ascii_run.returncode, ascii_run.stderr) == (0, b"")
+        assert (utf8_run.returncode, utf8_run.stderr) == (0, b"")
+        assert ascii_run.stdout == utf8_run.stdout
+        assert "\u00e9" in ascii_run.stdout.decode("utf-8")
 
 
 class TestSharedParser:
