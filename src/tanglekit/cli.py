@@ -89,9 +89,9 @@ _PARSER, _COMMANDS = build_parser()
 
 
 def _read_tanglegram(path: str) -> Tanglegram:
-    # input files are UTF-8 whatever the locale
+    # input files are UTF-8 whatever the locale; a leading byte-order mark is dropped
     with open(path, "rb") as f:
-        text = f.read().decode("utf-8")
+        text = f.read().decode("utf-8-sig")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) != 1:
         raise ValueError(f"{path}: expected exactly one tanglegram line, got {len(lines)}")

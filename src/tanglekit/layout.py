@@ -239,10 +239,9 @@ def _planar_masks(t: Tanglegram) -> tuple[int, int] | None:
     parity = [0] * len(parent)  # a bit's value xor its parent's
     size = [1] * len(parent)  # union by size keeps every path O(log n) long
     for u, crossed, uncrossed in _pair_table(t):
-        ru, pu = u, 0  # u's root, and u's value xor the root's
-        while parent[ru] != ru:
-            pu ^= parity[ru]
-            ru = parent[ru]
+        # u's root, and u's value xor the root's: no row before u's holds
+        # u, and a union re-parents only a root it touched, so ru is u
+        ru, pu = u, 0
         for counts, state in ((crossed, 1), (uncrossed, 0)):
             for w in counts:
                 # rw: w's root; p: the xor of the two roots' values that

@@ -145,7 +145,8 @@ def is_catergram(t: Tanglegram) -> bool:
 
 def _distance_positions(tree: RootedBinaryTree) -> dict[Label, int]:
     # Distance labeling of a caterpillar: the lone leaf at depth i gets
-    # index i; the two deepest leaves get n-1 and n in stored order.
+    # index i; the two deepest leaves get n-1 and n in vertex-id order,
+    # which is stored order for parsed and derived trees.
     n = tree.n_leaves
     depth = tree.leaf_depths()
     pos = {lab: d for lab, d in depth.items() if d < n - 1}

@@ -398,28 +398,22 @@ class RootedBinaryTree:
         return n >= 2 and max(self._depth_of) == n - 1
 
     def order_consistent(self, order: Sequence[Label]) -> bool:
-        """True iff every internal vertex's leaves form a contiguous block.
+        """True iff ``order`` is the leaf sequence of a plane embedding.
 
         ``order`` must be a permutation of the leaf labels; anything else
-        raises ValueError. The orders accepted here are exactly the leaf
-        sequences of plane embeddings of the tree, so for a tree with k
-        internal vertices exactly 2**k orders pass.
+        raises ValueError. Only one swap mask can give the order: bit b
+        set exactly when the first stored leaf of b's second child comes
+        before the first stored leaf of its first child. The order passes
+        when that mask reads it back, so for a tree with k internal
+        vertices exactly 2**k orders pass, one per mask.
         """
         seq = tuple(order)
-        n = len(self._leaves)
-        if len(seq) != n or set(seq) != set(self._vertex_of):
+        leaves = self._leaves
+        if len(seq) != len(leaves) or set(seq) != set(self._vertex_of):
             raise ValueError("order must be a permutation of the leaf labels")
         pos = {lab: k for k, lab in enumerate(seq)}
-        first, end = self._lo, self._hi
-
-        def block(v: int, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-            # min and max position of v's leaves; a broken block widens
-            # to (-n, n), which breaks every block above it as well
-            lo = a[0] if a[0] < b[0] else b[0]
-            hi = a[1] if a[1] > b[1] else b[1]
-            return (lo, hi) if hi - lo == end[v] - first[v] - 1 else (-n, n)
-
-        return self.fold(lambda lab: (pos[lab], pos[lab]), block) == (0, n - 1)
+        mask = sum(1 << b for b, lo, mid, _ in self.splits() if pos[leaves[mid]] < pos[leaves[lo]])
+        return self._read_leaves(mask) == seq
 
     # ------------------------------------------------------------------
     # plane embeddings

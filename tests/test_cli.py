@@ -810,6 +810,19 @@ class TestInputEncoding:
         assert ascii_run.stdout == utf8_run.stdout
         assert "\u00e9" in ascii_run.stdout.decode("utf-8")
 
+    @pytest.mark.parametrize("command", ["planar", "crossing-number", "layout"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys, command):
+        # Notepad and other Windows editors start a UTF-8 file with a BOM
+        plain, marked = tmp_path / "plain.tgl", tmp_path / "marked.tgl"
+        plain.write_bytes(b"(a,b) ; (a,b) ; a:b,b:a\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        runs = []
+        for path in (plain, marked):
+            code = main([command, str(path)])
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][2] == ""
+
 
 class TestSharedParser:
     """``main`` reuses one parser; no call may leave a trace on the next."""

@@ -7,11 +7,14 @@ planar layouts and the default planarity test has one equation per
 pair of leaves; both run here on inputs of 1000 to 2500 entries.
 """
 
+import ast
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import tanglekit
 from tanglekit import (
     Permutation,
     RootedBinaryTree,
@@ -153,3 +156,18 @@ def test_cli_planar_default_on_a_deep_catergram_answers_at_once(tmp_path):
     path = _catergram_file(tmp_path / "rho.tg", rho(494))
     proc = run_cli(["planar", path], timeout=10)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "true\n", "")
+
+
+def test_no_library_function_calls_itself():
+    # Recursion would cap input size at the interpreter's recursion limit.
+    # The one exception enumerates shapes for small sizes only.
+    allowed = {("tanglegram", "_shapes")}
+    found = set()
+    for path in sorted(Path(tanglekit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(node):
+                    if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                            and call.func.id == node.name):
+                        found.add((path.stem, node.name))
+    assert found <= allowed, f"functions that call themselves by name: {sorted(found - allowed)}"

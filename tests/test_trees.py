@@ -1,7 +1,7 @@
 """Rooted binary trees: construction, traversal, orders, induction."""
 
 import random
-from itertools import count
+from itertools import count, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -154,6 +154,17 @@ def test_order_consistent_accepts_and_rejects():
         t.order_consistent((1, 2, 3, 3))
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_order_consistent_on_every_order_of_every_shape(n):
+    # 42 shapes and 720 orders at six leaves
+    for shape in ordered_shapes(n):
+        t = RootedBinaryTree.from_nested(_label_shape(shape, range(1, n + 1)))
+        planar = set(t.all_leaf_orders())
+        assert len(planar) == 2 ** (n - 1)
+        for order in permutations(range(1, n + 1)):
+            assert t.order_consistent(order) == (order in planar), (shape, order)
+
+
 def test_leaf_order_masks_enumerate_all_orders():
     t = RootedBinaryTree.from_nested(((1, 2), (3, 4)))
     orders = list(t.all_leaf_orders())
@@ -251,6 +262,15 @@ def test_equality_and_hash_agree_across_constructors():
     fresh = [RootedBinaryTree.from_newick(t.to_newick()) for t in distinct]  # hashed first
     assert len({hash(t) for t in fresh}) == len(distinct) > 40
     assert all(a != b for i, a in enumerate(distinct) for b in distinct[i + 1:])
+
+
+def test_label_at_and_vertex_of():
+    t = RootedBinaryTree.from_newick("(a,(b,c))")
+    assert [t.label_at(t.vertex_of(lab)) for lab in "abc"] == ["a", "b", "c"]
+    with pytest.raises(ValueError, match="^vertex 0 is internal and has no label$"):
+        t.label_at(0)
+    with pytest.raises(ValueError, match="^unknown leaf label 'zz'$"):
+        t.vertex_of("zz")
 
 
 def test_subtree_labels():
