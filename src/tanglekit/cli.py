@@ -2,7 +2,8 @@
 
 Results go to stdout, diagnostics to stderr. Exit codes: 0 for success
 or a true answer, 1 for a false answer or a failed verification, 2 for
-usage and input errors, 3 for a blown size, time or recursion budget.
+usage and input errors, 3 for a blown size, time, memory or recursion
+budget.
 """
 
 from __future__ import annotations
@@ -98,12 +99,21 @@ def _read_tanglegram(path: str) -> Tanglegram:
     return parse_tanglegram(lines[0])
 
 
-def _emit(kind: str, rec: PatternCheck | ChainCheck, text, fmt: str) -> None:
-    # keys follow the record's fields; the text line is built only when printed
-    if fmt == "jsonl":
-        print(json.dumps({"kind": kind, **rec._asdict(), "elapsed": round(rec.elapsed, 6)}))
-    else:
-        print(text(rec))
+# One line per verifier record, byte for byte what
+# json.dumps({"kind": ..., **rec._asdict(), "elapsed": round(rec.elapsed, 6)})
+# prints: ints and floats as repr, bools as true/false, the bar-set tag
+# (a plain identifier) quoted, and no dict or encoder call per record.
+def _pattern_json(rec: PatternCheck) -> str:
+    witness = "null" if rec.witness is None else f"[{', '.join(map(str, rec.witness))}]"
+    return (f'{{"kind": "antichain-check", "i": {rec.i}, "j": {rec.j}, "sigma": "{rec.sigma}", '
+            f'"witness": {witness}, "elapsed": {round(rec.elapsed, 6)!r}}}')
+
+
+def _chain_json(rec: ChainCheck) -> str:
+    r = "true" if rec.restriction_ok else "false"
+    s = "true" if rec.induced_ok else "false"
+    return (f'{{"kind": "chain-check", "i": {rec.i}, "restriction_ok": {r}, "induced_ok": {s}, '
+            f'"elapsed": {round(rec.elapsed, 6)!r}}}')
 
 
 def _pattern_line(rec: PatternCheck) -> str:
@@ -129,23 +139,23 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    jsonl = args.format == "jsonl"
     if args.target == "antichain":
+        line = _pattern_json if jsonl else _pattern_line
         report = verify_antichain(
             args.max_index,
             adjacent_only=args.adjacent_only,
             pair_timeout=args.timeout,
-            on_check=lambda rec: _emit("antichain-check", rec, _pattern_line, args.format),
+            on_check=lambda rec: print(line(rec)),
         )
         extra = {"adjacent_only": report.adjacent_only}
     else:
-        report = verify_chain(
-            args.max_index,
-            on_check=lambda rec: _emit("chain-check", rec, _chain_line, args.format),
-        )
+        line = _chain_json if jsonl else _chain_line
+        report = verify_chain(args.max_index, on_check=lambda rec: print(line(rec)))
         extra = {}
     summary = {"kind": "summary", "result": "PASS" if report.passed else "FAIL",
                "max": report.max_index, **extra, "checks": len(report.checks)}
-    if args.format == "jsonl":
+    if jsonl:
         print(json.dumps(summary))
     else:
         print(f"{summary['result']} {args.target} max={args.max_index} checks={summary['checks']}")
@@ -245,6 +255,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except RecursionError:  # last resort: tanglegram._shapes (census) still recurses
         print(f"budget exceeded: {args.command} ran past the recursion depth", file=sys.stderr)
+        return 3
+    except (OverflowError, MemoryError):  # last resort: e.g. gen of an index too large to build
+        print(f"budget exceeded: {args.command} needs more memory than there is", file=sys.stderr)
         return 3
     except (ValueError, InvalidLayoutError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

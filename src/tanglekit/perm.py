@@ -15,6 +15,7 @@ import json
 import math
 import re
 import time
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
@@ -193,26 +194,21 @@ def _embed(text: Sequence[int], pat: Sequence[int], deadline: float | None) -> l
     n, m = len(text), len(pat)
 
     # Pattern step k needs a text value strictly between its tightest
-    # smaller and larger earlier entries, found by deleting the values
-    # from a linked list over 0..m+1, last step first: what is left
-    # around a step's value are the earlier ones. Unconstrained sides
-    # point at the sentinel slots m and m + 1 of ``vals``, which hold the
-    # bounds 0 and n + 1. The pattern values strictly between a step's
-    # and its neighbours' need text values of their own inside the
-    # window, which narrows it by that many on each side.
+    # smaller and larger earlier entries. Each step is built the first
+    # time the search reaches it, by bisecting the sorted earlier values,
+    # so a refutation after d steps reads d + 1 pattern entries.
+    # Unconstrained sides point at the sentinel slots m and m + 1 of
+    # ``vals``, which hold the bounds 0 and n + 1. The pattern values
+    # strictly between a step's and its neighbours' need text values of
+    # their own inside the window, which narrows it by that many on each
+    # side. Steps are (lower ref, its pad, upper ref, its pad, end of the
+    # scan); step 0 has only the sentinels around it.
+    v = pat[0]
+    steps = [(m, v - 1, m + 1, m - v, n - m + 1)]
+    seen = [0, v, m + 1]  # the values of the steps built, and the sentinels, sorted
     index_of = [0] * (m + 2)
-    for k, v in enumerate(pat):
-        index_of[v] = k
-    index_of[0], index_of[m + 1] = m, m + 1
-    below = list(range(-1, m + 1))
-    above = list(range(1, m + 3))
-    steps = [None] * m
-    for k in range(m - 1, -1, -1):
-        v = pat[k]
-        a, b = below[v], above[v]
-        # (lower ref, its pad, upper ref, its pad, end of the scan)
-        steps[k] = (index_of[a], v - a - 1, index_of[b], b - v - 1, n - m + k + 1)
-        above[a], below[b] = b, a
+    index_of[v], index_of[0], index_of[m + 1] = 0, m, m + 1
+    built = 1
 
     # Backtracking with an explicit cursor: ``chosen[k]`` is the text
     # position of pattern step k. Positions are tried left to right at
@@ -232,10 +228,18 @@ def _embed(text: Sequence[int], pat: Sequence[int], deadline: float | None) -> l
         if p < stop:
             chosen[k] = p
             vals[k] = text[p]
-            if k + 1 == m:
-                return chosen
             k += 1
             p += 1
+            if k == built:  # a step the search has not reached before
+                if k == m:
+                    return chosen
+                v = pat[k]
+                at = bisect_left(seen, v)
+                a, b = seen[at - 1], seen[at]
+                steps.append((index_of[a], v - a - 1, index_of[b], b - v - 1, n - m + k + 1))
+                seen.insert(at, v)
+                index_of[v] = k
+                built += 1
         elif k == 0:
             return None
         else:
@@ -314,12 +318,19 @@ def star(pi: Permutation) -> Permutation:
 
 
 def bar_members(pi: Permutation) -> tuple[tuple[str, Permutation], ...]:
-    """The bar set with stable tags, duplicates dropped, order fixed."""
-    out: list[tuple[str, Permutation]] = [("base", pi)]
-    for tag, q in (("hat", hat(pi)), ("tilde", tilde(pi)), ("star", star(pi))):
-        if all(q != p for _, p in out):
-            out.append((tag, q))
-    return tuple(out)
+    """The bar set with stable tags, duplicates dropped, order fixed:
+    base, hat, tilde, star. Needs n >= 2.
+
+    hat and tilde are commuting involutions that never fix a
+    permutation, so the four members are distinct unless
+    ``hat(pi) == tilde(pi)``: then the last two positions carry n-1 and
+    n, star is pi itself, and the set is (base, hat). That one
+    comparison decides it.
+    """
+    h, t = hat(pi), tilde(pi)
+    if h == t:
+        return (("base", pi), ("hat", h))
+    return (("base", pi), ("hat", h), ("tilde", t), ("star", hat(t)))
 
 
 def bar_set(pi: Permutation) -> frozenset[Permutation]:

@@ -356,14 +356,20 @@ class RootedBinaryTree:
     def internal_count(self) -> int:
         return len(self._internal_bit)
 
+    def _vertex(self, v: int) -> int:
+        """``v`` itself if it is a vertex id; else ValueError naming the range."""
+        if not 0 <= v < len(self._kids):
+            raise ValueError(f"vertex {v!r} out of range 0..{len(self._kids) - 1}")
+        return v
+
     def children(self, v: int) -> tuple[int, int] | None:
-        return self._kids[v]
+        return self._kids[self._vertex(v)]
 
     def is_leaf(self, v: int) -> bool:
-        return self._kids[v] is None
+        return self._kids[self._vertex(v)] is None
 
     def label_at(self, v: int) -> Label:
-        if self._kids[v] is not None:
+        if self._kids[self._vertex(v)] is not None:
             raise ValueError(f"vertex {v} is internal and has no label")
         return self._label_of[v]
 
@@ -377,6 +383,7 @@ class RootedBinaryTree:
         return frozenset(self._vertex_of)
 
     def subtree_labels(self, v: int) -> frozenset[Label]:
+        v = self._vertex(v)
         return frozenset(self._leaves[self._lo[v] : self._hi[v]])
 
     def leaf_depths(self) -> dict[Label, int]:
@@ -409,7 +416,11 @@ class RootedBinaryTree:
         """
         seq = tuple(order)
         leaves = self._leaves
-        if len(seq) != len(leaves) or set(seq) != set(self._vertex_of):
+        try:
+            labels_ok = len(seq) == len(leaves) and set(seq) == self._vertex_of.keys()
+        except TypeError:  # an unhashable item is not a label
+            labels_ok = False
+        if not labels_ok:
             raise ValueError("order must be a permutation of the leaf labels")
         pos = {lab: k for k, lab in enumerate(seq)}
         mask = sum(1 << b for b, lo, mid, _ in self.splits() if pos[leaves[mid]] < pos[leaves[lo]])

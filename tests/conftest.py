@@ -24,9 +24,12 @@ from tanglekit import (
     distance_pairs,
     enumerate_tanglegrams,
     excluded_tanglegrams,
+    hat,
     induced_subtanglegram,
     is_cater_good,
     layout_permutation,
+    star,
+    tilde,
 )
 from tanglekit.layout import _pair_table
 from tanglekit.perm import _parse_int_tuple
@@ -247,6 +250,16 @@ def lookup_tilde(entries) -> tuple[int, ...]:
     n = len(entries)
     swap = {n - 1: n, n: n - 1}
     return tuple(swap.get(v, v) for v in entries)
+
+
+def dedup_bar_members(pi: Permutation) -> tuple[tuple[str, Permutation], ...]:
+    """``bar_members`` as first written: build base, hat, tilde and star
+    in that order and keep each one unequal to every member kept before."""
+    out: list[tuple[str, Permutation]] = [("base", pi)]
+    for tag, q in (("hat", hat(pi)), ("tilde", tilde(pi)), ("star", star(pi))):
+        if all(q != p for _, p in out):
+            out.append((tag, q))
+    return tuple(out)
 
 
 def rank_standardize(values) -> Permutation:

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -11,6 +12,8 @@ from collections import Counter
 import pytest
 
 from tanglekit import (
+    ChainCheck,
+    PatternCheck,
     Permutation,
     RootedBinaryTree,
     cli,
@@ -24,6 +27,7 @@ from tanglekit import (
     tanglegram,
     verify_antichain,
 )
+from tanglekit.antichain import AntichainReport, ChainReport
 from tanglekit.cli import main
 
 from conftest import (
@@ -82,6 +86,19 @@ class TestGen:
         assert main(["gen", "rho", "0"]) == 2
         err = capsys.readouterr().err
         assert "at least 1" in err
+
+
+class TestGenTooLarge:
+    # each index overflows a list size before anything is allocated; an
+    # index that does allocate (gen rho 10000000000) is not tried here
+    @pytest.mark.parametrize("argv", [["gen", "rho", "10000000000000000000"],
+                                      ["gen", "pi", "4611686018427387904"]])
+    def test_exits_3_with_one_line(self, argv, capsys):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("budget exceeded: gen ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 class TestVerify:
@@ -174,6 +191,34 @@ class TestVerify:
             "antichain pair (2,3) sigma=hat: ok E",
             "FAIL antichain max=3 checks=4",
         ]
+
+    @pytest.mark.parametrize("elapsed", [0.0, 1e-06, 9e-06, 0.000481, 12.5])
+    def test_records_print_as_json_dumps_would(self, elapsed, monkeypatch, capsys):
+        # the verifiers are replaced by ones that report fixed records
+        pattern_recs = [PatternCheck(3, 17, tag, witness, elapsed)
+                        for tag, witness in (("base", None), ("star", (1, 4, 12)), ("hat", (2,)))]
+        chain_recs = [ChainCheck(5, r, s, elapsed) for r, s in itertools.product((False, True), repeat=2)]
+
+        def verify_antichain(max_index, *, adjacent_only, pair_timeout, on_check):
+            for rec in pattern_recs:
+                on_check(rec)
+            return AntichainReport(max_index, adjacent_only, tuple(pattern_recs))
+
+        def verify_chain(max_index, *, on_check):
+            for rec in chain_recs:
+                on_check(rec)
+            return ChainReport(max_index, tuple(chain_recs))
+
+        monkeypatch.setattr(cli, "verify_antichain", verify_antichain)
+        monkeypatch.setattr(cli, "verify_chain", verify_chain)
+        for target, kind, records in (("antichain", "antichain-check", pattern_recs),
+                                      ("chain", "chain-check", chain_recs)):
+            main(["verify", target, "--max", "20", "--format", "jsonl"])
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[:-1] == [
+                json.dumps({"kind": kind, **rec._asdict(), "elapsed": round(rec.elapsed, 6)})
+                for rec in records
+            ]
 
     def test_antichain_nan_timeout_is_a_usage_error(self, capsys):
         # a NaN deadline never passes: without the check it ran to PASS
@@ -906,3 +951,32 @@ def test_pinned_output(command, code, digest, tmp_path, capsys):
         argv.append(arg)
     assert main(argv) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# argv, exit code and the sha256 of the stdout each command printed, with
+# every check's timing masked as by mask_elapsed; stderr is empty
+PINNED_VERIFIER_OUTPUTS = [
+    ("verify antichain --max 8 --format jsonl", 0,
+     "30cf22861941e8fb3ac28532492cbe06b95756902a4e85e530994484aa8a2aff"),
+    ("verify antichain --max 22 --adjacent-only --timeout 600 --format jsonl", 0,
+     "bfd279c4cd314296ec33a87cc3dcd95ae34de1f1daa35312d6a759c5c43b6d16"),
+    ("verify chain --max 12 --format jsonl", 0,
+     "4662de7646b651deca1e05376e478ab6d16cb58af50bc50255e4ab20ee17134d"),
+    ("verify antichain --max 6", 0, "f45343aa3cd328d15c78e05c901fbaa30882bea4c94fdb19acad86ba8b5afa84"),
+    ("verify chain --max 6", 0, "e0255e5504e2bc1e81e27805ab6920c822ecf1f390deb39972525e56fcea3666"),
+    ("pattern --pi (2,3,5,1,7,4,9,6,11,8,12,13,14,10) --rho (2,3,5,1)", 0,
+     "eda5a9342aab92ebed9d267282c2cde2a165812af71687a42062973491c751c6"),
+    # hat(rho(1)) in rho(2)
+    ("pattern --pi (2,3,5,1,7,4,9,6,11,8,13,10,14,15,16,12) --rho (2,3,5,1,7,4,9,6,11,8,12,13,10,14)", 1,
+     "fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345"),
+]
+
+
+@pytest.mark.parametrize("command,code,digest", PINNED_VERIFIER_OUTPUTS,
+                         ids=[c for c, _, _ in PINNED_VERIFIER_OUTPUTS])
+def test_pinned_verifier_output(command, code, digest, capsys):
+    assert main(command.split()) == code
+    out, err = capsys.readouterr()
+    masked = "".join(line + "\n" for line in mask_elapsed(out))
+    assert err == ""
+    assert hashlib.sha256(masked.encode()).hexdigest() == digest

@@ -3,6 +3,7 @@
 import random
 import sys
 from collections import Counter
+from collections.abc import Sequence
 from itertools import permutations
 
 import pytest
@@ -33,10 +34,11 @@ from tanglekit import (
     tilde,
     upside_down,
 )
-from tanglekit.perm import _larger_before, _parse_int_tuple
+from tanglekit.perm import _embed, _larger_before, _parse_int_tuple
 
 from conftest import (
     brute_pattern,
+    dedup_bar_members,
     int_parse_tuple,
     lookup_tilde,
     pair_scan_larger_before,
@@ -315,6 +317,54 @@ class TestContainsPattern:
             answers[got is not None] += 1
         assert min(answers.values()) >= 500, answers
 
+    def test_bar_members_of_rho_match_the_plain_search_both_ways(self):
+        # every bar-set member of rho(i) against every later rho(j) up to
+        # 12, read left to right and with both sequences reversed
+        def reversed_perm(p):
+            return Permutation(p.entries[::-1])
+
+        for i in range(1, 12):
+            for _, sigma in bar_members(rho(i)):
+                for j in range(i + 1, 13):
+                    for text, pat in ((rho(j), sigma), (reversed_perm(rho(j)), reversed_perm(sigma))):
+                        want = plain_pattern_search(text.entries, pat.entries)
+                        assert contains_pattern(text, pat) == want, (i, j, pat)
+                        assert pattern_occurs(text, pat) == (want is not None), (i, j, pat)
+
+    def test_seeded_pairs_match_the_plain_search(self):
+        # pattern lengths run from 1 past the text length, so steps are
+        # built up to the last one and past the text as well
+        rng = random.Random(2207)
+        for _ in range(2000):
+            n = rng.randint(1, 12)
+            m = rng.randint(1, n + 1)
+            text = Permutation(rng.sample(range(1, n + 1), n))
+            pat = Permutation(rng.sample(range(1, m + 1), m))
+            want = plain_pattern_search(text.entries, pat.entries)
+            assert contains_pattern(text, pat) == want, (text, pat)
+            assert pattern_occurs(text, pat) == (want is not None), (text, pat)
+
+    def test_a_refutation_reads_only_the_steps_it_reaches(self):
+        # the hat, tilde and star members of rho(20), read right to left,
+        # leave rho(21) within a few steps; each step reads its pattern
+        # entry once, when the search first reaches it
+        class CountingReads(Sequence):
+            def __init__(self, items):
+                self.items, self.reads = items, 0
+
+            def __len__(self):
+                return len(self.items)
+
+            def __getitem__(self, k):
+                self.reads += 1
+                return self.items[k]
+
+        text = rho(21).entries[::-1]
+        for tag, sigma in bar_members(rho(20)):
+            pat = CountingReads(sigma.entries[::-1])
+            assert _embed(text, pat, None) is None, tag
+            assert pat.reads <= (len(pat) if tag == "base" else 4), (tag, pat.reads)
+
     def test_deadline_already_passed(self):
         # a fruitless search over a long host accumulates enough steps
         # to hit the periodic deadline check
@@ -368,6 +418,16 @@ class TestBarOperations:
         tagged = bar_members(p)
         assert [tag for tag, _ in tagged] == ["base", "hat"]
         assert len(bar_set(p)) == 2
+
+    def test_bar_members_match_the_deduplicating_oracle(self):
+        # tags, order and entries, on every permutation of size 2-7
+        checked = 0
+        for n in range(2, 8):
+            for entries in permutations(range(1, n + 1)):
+                p = Permutation(entries)
+                assert bar_members(p) == dedup_bar_members(p), entries
+                checked += 1
+        assert checked == 5912
 
     def test_bar_set_of_generic_permutation_has_four(self):
         p = Permutation((3, 1, 4, 2))

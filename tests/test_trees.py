@@ -273,6 +273,21 @@ def test_label_at_and_vertex_of():
         t.vertex_of("zz")
 
 
+@pytest.mark.parametrize("accessor", ["children", "is_leaf", "label_at", "subtree_labels"])
+@pytest.mark.parametrize("v", [-1, -2, -5, 5, 9])
+def test_vertex_accessors_reject_ids_out_of_range(accessor, v):
+    # a negative id must not index from the end of the table
+    t = RootedBinaryTree.from_newick("(a,(b,c))")
+    with pytest.raises(ValueError, match=rf"^vertex {v} out of range 0\.\.4$"):
+        getattr(t, accessor)(v)
+
+
+def test_order_consistent_rejects_an_unhashable_item():
+    t = RootedBinaryTree.from_newick("(a,(b,c))")
+    with pytest.raises(ValueError, match="^order must be a permutation of the leaf labels$"):
+        t.order_consistent([["a"], "b", "c"])
+
+
 def test_subtree_labels():
     t = RootedBinaryTree.from_nested(((1, 2), (3, 4)))
     tops = {frozenset(t.subtree_labels(v)) for v in t.children(t.root)}
