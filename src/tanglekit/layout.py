@@ -37,7 +37,7 @@ from typing import Iterator, NamedTuple
 from .errors import BudgetExceededError, InvalidLayoutError
 from .perm import Permutation, count_inversions, rho
 from .tanglegram import Tanglegram, _has_induced_copy, catergram
-from .trees import Label, RootedBinaryTree
+from .trees import Label, RootedBinaryTree, _nested_table
 
 DEFAULT_SIZE_CAP = 12
 
@@ -315,9 +315,9 @@ def excluded_tanglegrams() -> tuple[Tanglegram, Tanglegram]:
     balanced trees (cherries {1,2} and {3,4} on each side) with the
     matching 1:1, 2:3, 3:2, 4:4; its trees are not caterpillars.
     """
-    first = catergram(Permutation((3, 2, 1, 4)))
-    balanced = RootedBinaryTree.from_nested(((1, 2), (3, 4)))
-    second = Tanglegram(balanced, balanced, {1: 1, 2: 3, 3: 2, 4: 4})
+    first = catergram(Permutation._of((3, 2, 1, 4)))
+    balanced = RootedBinaryTree._of(*_nested_table(((1, 2), (3, 4))))
+    second = Tanglegram._of(balanced, balanced, ((1, 1), (2, 3), (3, 2), (4, 4)))
     return first, second
 
 

@@ -285,19 +285,18 @@ def induced_on_left(t: Tanglegram, left_labels: Iterable[Label]) -> Tanglegram:
 def is_induced_sub(sub: Tanglegram, sup: Tanglegram) -> bool:
     """True iff some subset of ``sup``'s matching edges induces ``sub``.
 
-    The search is :func:`_has_induced_copy`: bar-set patterns when
-    ``sup`` is a catergram, so a ``sub`` of at least 2 leaves whose
-    trees are not both caterpillars answers no at once, and otherwise a
-    scan of the m-edge subsets. Ahead of the scan, planarity is
-    hereditary, so a non-planar ``sub`` is no induced subtanglegram of
-    a planar ``sup``: when m >= 4 (smaller ones are all planar) the
-    swap-bit parity system decides ``sub`` in O(m^2) and, only when
-    ``sub`` is not planar, ``sup`` in O(n^2).
+    Cheapest rule first. A catergram ``sup`` holds no ``sub`` of at
+    least 2 leaves that is no catergram, which :func:`_has_induced_copy`
+    answers at once. Otherwise, from m = 4 (smaller ones are all
+    planar), heredity: a non-planar ``sub`` is no induced subtanglegram
+    of a planar ``sup``, so the parity system decides ``sub`` in O(m^2)
+    and, only when ``sub`` is not planar, ``sup`` in O(n^2). Every
+    other pair goes to that search.
     """
     m, n = sub.size, sup.size
     if m > n:
         return False
-    if m >= 4 and not is_catergram(sup):
+    if m >= 4 and (is_catergram(sub) or not is_catergram(sup)):
         from .layout import _planar_masks  # layout imports this module
 
         if _planar_masks(sub) is None and _planar_masks(sup) is not None:
@@ -367,16 +366,16 @@ def _has_induced_copy(sup: Tanglegram, targets: Sequence[Tanglegram]) -> bool:
     """True iff some edge subset of ``sup`` induces one of the targets,
     which all have the same size m.
 
-    The one induced-copy search, routed by ``sup``. A caterpillar's
-    induced subtrees are caterpillars, so when ``sup`` is a catergram
-    and m >= 2 only the targets that are catergrams can occur, and each
-    does exactly when its defining permutation, or any member of its
-    bar set, is a pattern of ``sup``'s. Any other ``sup`` (and m = 1,
-    whose single edge is no catergram) is scanned: the m-edge subsets
-    in combinations order on leaf positions, building nothing. The LCA
-    gap arrays of the two trees give each subset's distance pairs,
-    which filter it against the targets'. A subset that passes is
-    looked up in a per-call memo under the key of
+    The one induced-copy search, routed by ``sup``; it never solves the
+    parity system. A caterpillar's induced subtrees are caterpillars, so
+    when ``sup`` is a catergram and m >= 2 only the targets that are
+    catergrams can occur, and each does exactly when its defining
+    permutation, or any member of its bar set, is a pattern of
+    ``sup``'s. Any other ``sup`` (and m = 1, whose single edge is no
+    catergram) is scanned: the m-edge subsets in combinations order on
+    leaf positions. The LCA gap arrays of the two trees give each
+    subset's distance pairs, which filter it against the targets'. A
+    subset that passes is looked up in a per-call memo under the key of
     :func:`_subset_profiles`; only on a miss is the candidate built and
     its canonical form compared with the targets'.
     """

@@ -175,6 +175,21 @@ class TestVerifyChain:
         assert built == [1, 2, 3, 4, 5]
         assert cats == [pi_seq(i) for i in range(1, 6)]
 
+    @pytest.mark.parametrize("family, max_index", [(pi_seq, 12), (rho, 4)])
+    def test_asks_the_pattern_route_without_a_parity_solve(self, monkeypatch, family, max_index):
+        # the records match is_induced_sub, asked before the solver is refused
+        want = [
+            (i, is_induced_sub(catergram(family(i)), catergram(family(i + 1))))
+            for i in range(1, max_index)
+        ]
+
+        def refuse(t):
+            raise AssertionError("the parity solver was called")
+
+        monkeypatch.setattr("tanglekit.layout._planar_masks", refuse)
+        report = verify_chain(max_index, family=family)
+        assert [(c.i, c.induced_ok) for c in report.checks] == want
+
 
 def test_verifiers_never_recheck_derived_permutations(monkeypatch):
     # the families, the bar set, restriction and the catergram read-back

@@ -158,6 +158,18 @@ def test_cli_planar_default_on_a_deep_catergram_answers_at_once(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "true\n", "")
 
 
+@pytest.mark.parametrize("sub", ["(3,2,1,4)", "(3,2,1,4,5)"])
+def test_cli_induced_obstruction_into_a_deep_catergram_answers_at_once(tmp_path, sub):
+    # the failing pattern searches take from half a minute to several
+    # minutes; the sub is not planar and the super is, which the parity
+    # system settles in a fraction of a second
+    sup_path = _catergram_file(tmp_path / "rho.tg", rho(494))
+    sub_path = tmp_path / "sub.tg"
+    sub_path.write_text(f"catergram {sub}\n")
+    proc = run_cli(["induced", str(sub_path), sup_path], timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "false\n", "")
+
+
 def test_no_library_function_calls_itself():
     # Recursion would cap input size at the interpreter's recursion limit.
     # The one exception enumerates shapes for small sizes only.

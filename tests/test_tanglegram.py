@@ -32,11 +32,13 @@ from tanglekit import (
     is_planar,
     parse_tanglegram,
     restrict,
+    rho,
 )
 from tanglekit.tanglegram import _has_induced_copy, _shapes, _subset_profiles
 
 from conftest import (
     checked_copy,
+    joined_caterpillars,
     object_scan_induced_copy,
     ordered_shapes,
     permutation_entries,
@@ -310,10 +312,30 @@ class TestPositionScan:
                     assert form_of.setdefault(key, form) == form, (sup, subset)
 
 
+def random_catergram(rng, n: int, planar: bool | None = None) -> Tanglegram:
+    """A seeded random catergram of size n; with ``planar`` set, drawn
+    again until its planarity is as asked."""
+    while True:
+        t = catergram(Permutation(rng.sample(range(1, n + 1), n)))
+        if planar is None or is_planar(t) == planar:
+            return t
+
+
+def planted_obstruction(rng, m: int) -> Tanglegram:
+    """A catergram of size m >= 4 whose permutation has (3,2,1,4) planted
+    at four random positions, so it is not planar."""
+    entries = rng.sample(range(1, m + 1), m)
+    at = sorted(rng.sample(range(m), 4))
+    low = sorted(entries[p] for p in at)
+    for p, rank in zip(at, (2, 1, 0, 3)):
+        entries[p] = low[rank]
+    return catergram(Permutation(entries))
+
+
 class TestHeredityFilter:
     """is_induced_sub answers no at once for a non-planar sub and a planar
-    sup, without a scan; against the object-building scan in conftest it
-    must never turn a yes into a no."""
+    sup, without a search; against the object-building scan in conftest
+    and the search itself it must never turn a yes into a no."""
 
     def test_agrees_with_the_object_scan(self):
         rng = random.Random(11)
@@ -331,6 +353,23 @@ class TestHeredityFilter:
         # except where heredity rules a yes out
         cases = [(a, b, c) for a in (True, False) for b in (True, False) for c in (True, False)]
         assert {case for case in cases if seen[case]} == set(cases) - {(False, True, True)}, seen
+
+    def test_agrees_on_catergram_sups(self):
+        rng = random.Random(23)
+        seen = Counter()
+        for k in range(24):
+            sup = random_catergram(rng, rng.randint(5, 9), planar=k % 2 == 0)
+            labels = sorted(sup.left.labels())
+            subs = [planted_obstruction(rng, m) for m in (4, 5)]
+            subs += [induced_on_left(sup, rng.sample(labels, m)) for m in (4, 5)]
+            subs += [random_catergram(rng, m) for m in (4, 5)]
+            subs += [random_tanglegram(rng, m, planar=rng.random() < 0.5) for m in (4, 5)]
+            for sub in subs:
+                want = object_scan_induced_copy(sup, [sub])
+                assert is_induced_sub(sub, sup) == _has_induced_copy(sup, [sub]) == want, (sub, sup)
+                seen[is_planar(sub), is_planar(sup), want] += 1
+        assert seen[False, True, False], seen
+        assert seen[True, True, True] and seen[True, False, True] and seen[False, False, True], seen
 
 
 class TestCatergramRoute:
@@ -379,6 +418,31 @@ class TestCatergramRoute:
             for sup in sups:
                 is_planar(sup, "kuratowski")
                 _has_induced_copy(sup, excluded_tanglegrams())
+
+    def test_a_sub_that_is_no_catergram_needs_no_parity_solve(self, monkeypatch):
+        def refuse(t):
+            raise AssertionError("the parity solver was called")
+
+        rng = random.Random(29)
+        sups = [random_catergram(rng, rng.randint(6, 9), planar=k % 2 == 0) for k in range(12)]
+        subs = [excluded_tanglegrams()[1], joined_caterpillars(2), joined_caterpillars(3)]
+        monkeypatch.setattr("tanglekit.layout._planar_masks", refuse)
+        for sup in sups:
+            for sub in subs:
+                assert not is_induced_sub(sub, sup)
+
+    def test_a_non_planar_sub_in_a_planar_sup_needs_no_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pattern search was called")
+
+        monkeypatch.setattr("tanglekit.tanglegram.pattern_occurs", refuse)
+        rng = random.Random(31)
+        sups = [catergram(rho(i)) for i in (1, 2, 10)]
+        sups += [random_catergram(rng, rng.randint(5, 9), planar=True) for _ in range(8)]
+        for sup in sups:
+            for m in (4, 5):
+                assert not is_induced_sub(planted_obstruction(rng, m), sup)
+            assert not is_induced_sub(excluded_tanglegrams()[0], sup)
 
 
 class TestTextForm:
@@ -568,6 +632,14 @@ class TestUncheckedBuilds:
             for side in ("left", "right"):
                 a, b = getattr(got, side), getattr(want, side)
                 assert a.to_newick() == b.to_newick() and a.leaves == b.leaves
+
+    def test_excluded_tanglegrams(self):
+        balanced = RootedBinaryTree.from_nested(((1, 2), (3, 4)))
+        cat = checked_copy(caterpillar(4))
+        want = (Tanglegram(cat, cat, {1: 3, 2: 2, 3: 1, 4: 4}),
+                Tanglegram(balanced, balanced, {1: 1, 2: 3, 3: 2, 4: 4}))
+        for got, checked in zip(excluded_tanglegrams(), want, strict=True):
+            self._assert_same(got, checked)
 
     def test_enumeration(self):
         # digests of the canonical forms in order, as the checked
