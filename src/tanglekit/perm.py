@@ -174,13 +174,20 @@ def count_inversions(seq: Sequence[int]) -> int:
 
 
 def restrict(pi: Permutation, positions: Iterable[int]) -> Permutation:
-    """Pattern of ``pi`` on a position set: take images, compress ranks."""
-    a = sorted(set(int(p) for p in positions))
+    """Pattern of ``pi`` on a position set: take images, compress ranks.
+
+    Repeated positions count once and their order does not matter. The
+    kept images are distinct entries of a valid permutation, so their
+    ranks are a bijection and the result is built unchecked.
+    """
+    a = sorted(set(map(int, positions)))
     if not a:
         raise ValueError("the position set must be non-empty")
     if a[0] < 1 or a[-1] > len(pi):
         raise ValueError(f"positions must lie in 1..{len(pi)}")
-    return standardize(pi.entries[p - 1] for p in a)
+    e = pi.entries
+    vals = [e[p - 1] for p in a]
+    return Permutation._of(tuple(map(_ranks(vals).__getitem__, vals)))
 
 
 def _embed(text: Sequence[int], pat: Sequence[int], deadline: float | None) -> list[int] | None:

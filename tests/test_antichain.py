@@ -8,6 +8,7 @@ from tanglekit import (
     Permutation,
     bar_members,
     catergram,
+    catergram_permutation,
     contains_pattern,
     entries_preceded_by_larger,
     is_induced_sub,
@@ -175,7 +176,42 @@ class TestVerifyChain:
         assert built == [1, 2, 3, 4, 5]
         assert cats == [pi_seq(i) for i in range(1, 6)]
 
-    @pytest.mark.parametrize("family, max_index", [(pi_seq, 12), (rho, 4)])
+    def test_nests_on_a_longer_prefix(self):
+        report = verify_chain(60)
+        assert report.passed
+        assert [(c.restriction_ok, c.induced_ok) for c in report.checks] == [(True, True)] * 59
+
+    def test_one_search_per_nested_step(self, monkeypatch):
+        # a nested step is settled by its named member, tilde(family(i));
+        # a step where that member is absent goes to the whole bar set
+        searched, scanned = [], []
+        occurs, copy = antichain.pattern_occurs, antichain._has_induced_copy
+        monkeypatch.setattr(
+            antichain, "pattern_occurs", lambda big, sigma: searched.append(sigma) or occurs(big, sigma)
+        )
+        monkeypatch.setattr(
+            antichain, "_has_induced_copy", lambda sup, targets: scanned.append(sup) or copy(sup, targets)
+        )
+        assert verify_chain(12).passed
+        assert searched == [tilde(pi_seq(i)) for i in range(1, 12)]
+        assert scanned == []
+        searched.clear()
+        assert not any(c.induced_ok for c in verify_chain(4, family=rho).checks)
+        assert searched == [tilde(rho(i)) for i in range(1, 4)]
+        assert [catergram_permutation(s) for s in scanned] == [rho(i) for i in (2, 3, 4)]
+        # a miss on the named member that the whole bar set turns to yes
+        searched.clear()
+        scanned.clear()
+        report = verify_chain(6, family=lambda i: Permutation.identity(i + 3))
+        assert all(c.induced_ok for c in report.checks)
+        assert len(searched) == len(scanned) == 5
+
+    @pytest.mark.parametrize(
+        "family, max_index",
+        # in the identity family tilde never occurs but the base does,
+        # so every yes comes from the search over the whole bar set
+        [(pi_seq, 12), (rho, 4), (lambda i: Permutation.identity(i + 3), 6)],
+    )
     def test_asks_the_pattern_route_without_a_parity_solve(self, monkeypatch, family, max_index):
         # the records match is_induced_sub, asked before the solver is refused
         want = [

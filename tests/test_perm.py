@@ -197,16 +197,29 @@ class TestRestrict:
 
     def test_rejects_bad_positions(self):
         p = Permutation((2, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^the position set must be non-empty$"):
             restrict(p, [])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^positions must lie in 1\.\.2$"):
             restrict(p, [0, 1])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^positions must lie in 1\.\.2$"):
             restrict(p, [1, 3])
 
     def test_duplicate_positions_collapse(self):
         p = Permutation((3, 1, 2))
         assert tuple(restrict(p, [2, 2, 3])) == (1, 2)
+
+    def test_matches_standardizing_the_kept_images(self):
+        # unsorted, repeated positions: the unchecked result equals the
+        # checked route through standardize
+        rng = random.Random(24)
+        for _ in range(2000):
+            n = rng.randint(1, 30)
+            pi = Permutation(rng.sample(range(1, n + 1), n))
+            positions = [rng.randint(1, n) for _ in range(rng.randint(1, 2 * n))]
+            want = standardize(pi.entries[p - 1] for p in sorted(set(positions)))
+            got = restrict(pi, positions)
+            assert got == want, (pi, positions)
+            assert Permutation(got.entries) == got  # a valid bijection
 
     @given(permutation_entries(3, 8), st.data())
     def test_restriction_is_order_isomorphic(self, entries, data):
