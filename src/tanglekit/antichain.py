@@ -13,8 +13,8 @@ tilde(pi_seq(i)) exactly. verify_chain checks both that identity and
 the induced-subtanglegram containment it certifies. It decides the
 containment by asking first for the one bar-set member the nesting
 names, tilde(pi_seq(i)), as a pattern of pi_seq(i+1): that member is
-always in the bar set, so a yes is exact, and only a miss pays for the
-search over the whole bar set.
+always in the bar set, so a yes is exact and builds no catergram; only
+a miss builds the two catergrams and searches the whole bar set.
 """
 
 from __future__ import annotations
@@ -135,21 +135,27 @@ def verify_chain(
     collapses), so it is asked first and a yes is exact; only a miss
     searches the whole bar set, by the pattern route alone:
     ``is_induced_sub``'s planarity filter would only add parity solves.
-    Step i's larger member and catergram are step i+1's smaller ones.
+    Catergrams are built only for that search, each member's at most
+    once: step i's larger member is step i+1's smaller one, and so is
+    its catergram when step i built it.
     """
     if max_index < 2:
         raise ValueError("need max_index >= 2 to form a step")
     checks: list[ChainCheck] = []
-    big = family(1)
-    big_cat = catergram(big)
+    big, big_cat = family(1), None
     for i in range(1, max_index):
         t0 = time.perf_counter()
-        small, small_cat, big = big, big_cat, family(i + 1)
-        big_cat = catergram(big)
+        small, small_cat = big, big_cat
+        big, big_cat = family(i + 1), None
         positions = [p for p in range(1, len(big) + 1) if p not in (2, 4)]
         named = tilde(small)
         restriction_ok = restrict(big, positions) == named
-        induced_ok = pattern_occurs(big, named) or _has_induced_copy(big_cat, [small_cat])
+        induced_ok = pattern_occurs(big, named)
+        if not induced_ok:
+            if small_cat is None:
+                small_cat = catergram(small)
+            big_cat = catergram(big)
+            induced_ok = _has_induced_copy(big_cat, [small_cat])
         rec = ChainCheck(i, restriction_ok, induced_ok, time.perf_counter() - t0)
         checks.append(rec)
         if on_check is not None:

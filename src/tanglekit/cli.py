@@ -27,8 +27,16 @@ from .tanglegram import (
 CENSUS_SIZE_CAP = 5
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser, and each subcommand's parser by name."""
+Route = tuple[argparse.ArgumentParser, dict[str, str]]
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], Route]]:
+    """The top-level parser, and the routes past it by argv prefix.
+
+    ``(command,)`` and each two-word ``(command, target)`` map to the
+    parser that reads the rest of argv and to the values the prefix
+    gives the namespace.
+    """
     p = argparse.ArgumentParser(
         prog="tanglekit",
         description="Tanglegram toolkit: generate families, verify order relations, "
@@ -80,13 +88,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     cs.add_argument("--size", type=int, required=True)
     cs.add_argument("--cap", type=int, default=CENSUS_SIZE_CAP)
 
-    return p, sub.choices
+    routes: dict[tuple[str, ...], Route] = {}
+    for name, parser in sub.choices.items():
+        routes[(name,)] = parser, {"command": name}
+    for name, dest, targets in (("gen", "family", gsub), ("verify", "target", vsub)):
+        for target, parser in targets.choices.items():
+            routes[(name, target)] = parser, {"command": name, dest: target}
+    return p, routes
 
 
 # Built once per process: parsing leaves the parsers as they were, and
 # usage errors and --help still write to the sys.stderr / sys.stdout
 # current at call time.
-_PARSER, _COMMANDS = build_parser()
+_PARSER, _ROUTES = build_parser()
 
 
 def _read_tanglegram(path: str) -> Tanglegram:
@@ -233,19 +247,20 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
         if hasattr(sys.stdout, "reconfigure"):
             sys.stdout.reconfigure(encoding="utf-8")
-    # A named command's parser reads the rest of argv, as the top-level
-    # parser would have it do. Any other argv, and a command's leftover
-    # arguments, go through the top-level parser, which answers or
-    # reports them as it always has.
-    command = _COMMANDS.get(argv[0]) if argv else None
+    # The longest known argv prefix, a command or a two-word command
+    # such as `verify chain`, picks the parser that reads the rest of
+    # argv, as the parsers above it would have it do. Any other argv,
+    # and leftover arguments, go through the top-level parser, which
+    # answers or reports them as it always has.
+    route = _ROUTES.get(tuple(argv[:2])) or _ROUTES.get(tuple(argv[:1]))
     try:
-        if command is None:
+        if route is None:
             args = _PARSER.parse_args(argv)
         else:
-            args, rest = command.parse_known_args(argv[1:])
+            parser, given = route  # one given value per prefix word
+            args, rest = parser.parse_known_args(argv[len(given):], argparse.Namespace(**given))
             if rest:
                 _PARSER.parse_args(argv)  # exits: unrecognized arguments
-            args.command = argv[0]
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     try:

@@ -169,12 +169,26 @@ class TestVerifyChain:
         assert tuple(seen) == report.checks
 
     def test_builds_each_member_and_catergram_once(self, monkeypatch):
+        # every member once; a catergram only for a step whose named
+        # member misses, and each member's at most once
         built, cats = [], []
         monkeypatch.setattr(antichain, "catergram", lambda p: cats.append(p) or catergram(p))
         report = verify_chain(5, family=lambda i: built.append(i) or pi_seq(i))
         assert report.passed
         assert built == [1, 2, 3, 4, 5]
-        assert cats == [pi_seq(i) for i in range(1, 6)]
+        assert cats == []
+        built.clear()
+        report = verify_chain(5, family=lambda i: built.append(i) or rho(i))
+        assert not any(c.induced_ok for c in report.checks)
+        assert built == [1, 2, 3, 4, 5]
+        assert cats == [rho(i) for i in range(1, 6)]
+        # steps 2 and 3 miss: step 2 builds both of its catergrams, step 3
+        # reuses its smaller one, and the hits around them build none
+        cats.clear()
+        mixed = [pi_seq(1), pi_seq(2), Permutation.identity(12), pi_seq(3), pi_seq(4), pi_seq(5)]
+        report = verify_chain(6, family=lambda i: mixed[i - 1])
+        assert [c.induced_ok for c in report.checks] == [True, False, False, True, True]
+        assert cats == [pi_seq(2), Permutation.identity(12), pi_seq(3)]
 
     def test_nests_on_a_longer_prefix(self):
         report = verify_chain(60)

@@ -806,6 +806,66 @@ class TestPinnedUsage:
         assert capsys.readouterr() == ("true\n", "")
 
 
+class TestTwoWordDispatch:
+    """``verify``/``gen`` targets go straight to their own parser; every
+    answer, help text and usage error matches the top-level route."""
+
+    ARGVS = [
+        ["verify", "chain", "--max", "5"],
+        ["verify", "chain", "--max", "5", "--format", "jsonl"],
+        ["verify", "antichain", "--max", "4"],
+        ["verify", "antichain", "--max", "4", "--format", "jsonl"],
+        ["verify", "antichain", "--max", "5", "--adj", "--format", "jsonl"],
+        ["verify", "chain", "--max", "1"],
+        ["gen", "rho", "2"],
+        ["gen", "pi", "3"],
+        ["gen", "rho"],
+        ["gen", "pi", "x"],
+        ["--help"],
+        ["gen", "--help"],
+        ["gen", "rho", "--help"],
+        ["gen", "pi", "-h"],
+        ["verify", "-h"],
+        ["verify", "chain", "--help"],
+        ["verify", "antichain", "-h"],
+        ["verify", "chain"],
+        ["verify", "antichain", "--format", "jsonl"],
+        ["verify", "chain", "--max", "x"],
+        ["verify", "antichain", "--max", "2.5", "--adjacent-only"],
+        ["verify", "lattice", "--max", "3"],
+        ["gen", "sigma", "1"],
+        ["verify", "chain", "--max", "3", "extra"],
+        ["gen", "rho", "2", "3"],
+        ["verify", "antichain", "--max", "3", "--adj", "--bogus"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=[" ".join(a) for a in ARGVS])
+    def test_matches_the_top_level_route(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        code = main(argv)
+        out, err = capsys.readouterr()
+        monkeypatch.setattr(cli, "_ROUTES", {})
+        want_code = main(argv)
+        want_out, want_err = capsys.readouterr()
+        assert (code, mask_elapsed(out), err) == (want_code, mask_elapsed(want_out), want_err)
+
+    @pytest.mark.parametrize("argv", [["verify", "chain", "--max", "3"], ["gen", "pi", "2"],
+                                      ["verify", "antichain", "--max", "3", "--adj"]])
+    def test_two_word_commands_skip_the_parsers_above(self, argv, monkeypatch, capsys):
+        for route in (("verify",), ("gen",)):
+            monkeypatch.setitem(cli._ROUTES, route, None)
+        monkeypatch.setattr(cli, "_PARSER", None)
+        assert main(argv) == 0
+
+    def test_long_chain_in_a_fresh_interpreter(self):
+        proc = run_cli(["verify", "chain", "--max", "60", "--format", "jsonl"], timeout=10)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        *records, summary = [json.loads(ln) for ln in proc.stdout.splitlines()]
+        assert [(r["kind"], r["i"], r["restriction_ok"], r["induced_ok"]) for r in records] == [
+            ("chain-check", i, True, True) for i in range(1, 60)]
+        assert summary == {"kind": "summary", "result": "PASS", "max": 60, "checks": 59}
+
+
 class TestModuleEntry:
     """``python -m tanglekit`` calls ``main()`` without an argv, so
     ``main`` reads ``sys.argv``."""
