@@ -74,23 +74,31 @@ def verify_antichain(
     visited in ascending (i, j) order; ``pair_timeout`` (seconds per
     pair) turns an overlong search into BudgetExceededError, whose
     message names the pair and the bar-set member being searched; a
-    NaN ``pair_timeout`` raises ValueError.
+    NaN ``pair_timeout`` raises ValueError. Each member is built when
+    a pair first needs it and dropped after its last pair.
     """
     if max_index < 2:
         raise ValueError("need max_index >= 2 to form a pair")
     if pair_timeout is not None and math.isnan(pair_timeout):
         raise ValueError("the per-pair timeout must be a number of seconds, got nan")
-    perms = {i: family(i) for i in range(1, max_index + 1)}
+    # the members some later pair still needs: j is built at its first
+    # pair, and i dropped when its row begins, since its last pair as j
+    # came before; adjacent mode holds two members at a time
+    perms: dict[int, Permutation] = {}
     checks: list[PatternCheck] = []
     for i in range(1, max_index):
         top = i + 2 if adjacent_only else max_index + 1
-        members = bar_members(perms[i])
+        small = perms.pop(i, None)
+        members = bar_members(family(i) if small is None else small)
         for j in range(i + 1, top):
+            big = perms.get(j)
+            if big is None:
+                big = perms[j] = family(j)
             deadline = None if pair_timeout is None else time.monotonic() + pair_timeout
             for tag, sigma in members:
                 t0 = time.perf_counter()
                 try:
-                    witness = contains_pattern(perms[j], sigma, deadline=deadline)
+                    witness = contains_pattern(big, sigma, deadline=deadline)
                 except BudgetExceededError as exc:
                     raise BudgetExceededError(f"antichain pair ({i},{j}) sigma={tag}: {exc}") from exc
                 rec = PatternCheck(i, j, tag, witness, time.perf_counter() - t0)

@@ -19,6 +19,7 @@ from .perm import contains_pattern, standardize
 from .render import to_svg, to_text, to_tikz
 from .tanglegram import (
     Tanglegram,
+    _check_size,
     enumerate_tanglegrams,
     is_induced_sub,
     parse_tanglegram,
@@ -218,6 +219,7 @@ def _cmd_induced(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    _check_size(args.size)  # a usage error goes before a budget one
     _check_cap(args.size, args.cap, "census enumerates every tanglegram")
     reps = enumerate_tanglegrams(args.size)
     print(f"size {args.size}: {len(reps)} tanglegrams")

@@ -12,7 +12,9 @@ two independent deciders. The default, the oracle, solves the swap-bit
 parity system in O(n^2): two matching edges whose ends split at the left
 vertex u and the right vertex w cross exactly when u's swap bit xor w's
 differs from their stored state, so a planar tanglegram is one whose XOR
-equations are consistent, and a solution is a crossing-free layout. The
+equations are consistent, and a solution is a crossing-free layout. On a
+catergram the same system is decided in one pass over its permutation,
+in O(n alpha(n)); layouts still read the O(n^2) solution. The
 excluded-pattern test, kept as the cross-check, asks the one induced-copy
 search for either of two size-4 obstructions; that search routes a
 catergram to its four forbidden permutation patterns and scans any other
@@ -32,11 +34,17 @@ only when that strictly lowers the count. A zero ends the sweep.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, InvalidLayoutError
 from .perm import Permutation, count_inversions, rho
-from .tanglegram import Tanglegram, _has_induced_copy, catergram
+from .tanglegram import (
+    Tanglegram,
+    _has_induced_copy,
+    catergram,
+    catergram_permutation,
+    is_catergram,
+)
 from .trees import Label, RootedBinaryTree, _nested_table
 
 DEFAULT_SIZE_CAP = 12
@@ -279,6 +287,81 @@ def _planar_masks(t: Tanglegram) -> tuple[int, int] | None:
     return left_mask, sum(1 << w for w, v in enumerate(values[nl:]) if v)
 
 
+def _parity_pass(entries: Sequence[int]) -> bool:
+    """Whether the catergram of the permutation ``entries`` is planar: the
+    parity system of :func:`_planar_masks`, solved in one pass over the
+    entries in O(n alpha(n)).
+
+    Both caterpillars are in stored order 1..n, so leaves a < b split at
+    left bit a-1 and at right bit min(pi(a), pi(b))-1, and their edges
+    cross exactly when pi(a) > pi(b). No pair crosses when, for each a,
+    x[a-1] = y[pi(a)-1] if some later entry is larger, and
+    x[a-1] != y[pi(b)-1] for each later b with pi(b) < pi(a). Left bit
+    a-1 is in no other equation, and eliminating it leaves two rules on
+    values: every later value below pi(a) gets one colour, and pi(a) the
+    other when some later value is larger and some is smaller.
+
+    Read right to left, the values seen so far lie in blocks of one
+    colour on a stack, each block named by its least value, the lowest
+    on top. The blocks whose least value is below pi(a) are popped and
+    joined at parity 0 in a union-find with parities, by size and with
+    path halving; a block already at parity 1 to them is a
+    contradiction. Then pi(a) is pushed, joined at parity 1 to the
+    merged block when some block was popped and a larger value was
+    seen, and the merged block goes back on top. Each step pushes at
+    most two blocks.
+    """
+    parent = list(range(len(entries) + 1))
+    parity = [0] * len(parent)  # a value's colour xor its parent's
+    size = [1] * len(parent)
+    blocks: list[int] = []  # the least value of each block, the lowest on top
+    high = 0  # the largest value seen
+    for v in reversed(entries):
+        if blocks and blocks[-1] < v:
+            low = ra = blocks.pop()
+            pa = 0  # ra: low's root; pa: low's colour xor the root's
+            while parent[ra] != ra:
+                pa ^= parity[ra]
+                ra = parent[ra]
+            while blocks and blocks[-1] < v:
+                # rb: the next block's root; p: the xor of the two roots'
+                # colours that one colour for both blocks forces
+                rb, p = blocks.pop(), pa
+                while parent[rb] != rb:  # halving the path on the way
+                    up = parent[rb]
+                    parent[rb] = parent[up]
+                    parity[rb] ^= parity[up]
+                    p ^= parity[rb]
+                    rb = parent[rb]
+                if ra == rb:
+                    if p:
+                        return False
+                elif size[ra] < size[rb]:
+                    parent[ra], parity[ra] = rb, p
+                    size[rb] += size[ra]
+                    ra, pa = rb, pa ^ p
+                else:
+                    parent[rb], parity[rb] = ra, p
+                    size[ra] += size[rb]
+            if high > v:
+                parent[v], parity[v] = ra, pa ^ 1
+                size[ra] += 1
+            blocks += (v, low)
+        else:
+            blocks.append(v)
+        if v > high:
+            high = v
+    return True
+
+
+def _planar(t: Tanglegram) -> bool:
+    """Whether some layout of ``t`` has no crossings: by :func:`_parity_pass`
+    on a catergram, by :func:`_planar_masks` on any other tanglegram."""
+    if is_catergram(t):
+        return _parity_pass(catergram_permutation(t).entries)
+    return _planar_masks(t) is not None
+
+
 def _mask_layout(t: Tanglegram, left_mask: int, right_mask: int) -> Layout:
     return Layout(t, t.left.leaf_order(left_mask), t.right.leaf_order(right_mask))
 
@@ -326,7 +409,9 @@ def is_planar(t: Tanglegram, method: str = "oracle") -> bool:
 
     ``oracle``, the default, asks whether a zero-crossing layout exists,
     by solving the swap-bit parity system behind :func:`planar_layout`
-    in O(n^2), with no size cap. ``kuratowski`` is the independent
+    with no size cap: in one pass over the permutation in O(n alpha(n))
+    on a catergram (:func:`_parity_pass`), and in O(n^2) on any other
+    tanglegram. ``kuratowski`` is the independent
     cross-check: it asks the induced-copy search of
     :func:`~tanglekit.tanglegram._has_induced_copy` for either
     obstruction. On a catergram that is the forbidden-pattern test of
@@ -338,7 +423,7 @@ def is_planar(t: Tanglegram, method: str = "oracle") -> bool:
     The two methods agree; the test suite exercises that equivalence.
     """
     if method == "oracle":
-        return _planar_masks(t) is not None
+        return _planar(t)
     if method != "kuratowski":
         raise ValueError(f"unknown method {method!r}")
     return not _has_induced_copy(t, excluded_tanglegrams())

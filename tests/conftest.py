@@ -567,6 +567,17 @@ def random_tanglegram(rng, n: int, planar: bool = False) -> Tanglegram:
     return Tanglegram(left, right, {lab: f"r{lab}" for lab in order})
 
 
+def plant_obstruction(rng, entries: list[int]) -> list[int]:
+    """``entries`` with (3,2,1,4) planted at four random positions, so
+    that their catergram is not planar."""
+    entries = entries[:]
+    at = sorted(rng.sample(range(len(entries)), 4))
+    low = sorted(entries[p] for p in at)
+    for p, rank in zip(at, (2, 1, 0, 3)):
+        entries[p] = low[rank]
+    return entries
+
+
 def joined_caterpillars(k: int) -> Tanglegram:
     """Two k-leaf caterpillars joined at the root on both sides, matched
     by identity: planar, and no catergram."""
@@ -611,6 +622,12 @@ def run_module(argv, timeout: float, flags=(), **env) -> subprocess.CompletedPro
 def small_tanglegrams():
     """Every tanglegram of sizes 1 to 5, by size."""
     return {n: enumerate_tanglegrams(n) for n in range(1, 6)}
+
+
+@pytest.fixture(scope="session")
+def size_six_tanglegrams():
+    """Every tanglegram of size 6: 1509 representatives."""
+    return enumerate_tanglegrams(6)
 
 
 # ------------------------------------------------- suite-wide self checks

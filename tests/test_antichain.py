@@ -138,6 +138,27 @@ class TestVerifyAntichain:
         assert calls == want_calls
         assert [(c.i, c.j, c.sigma, c.witness) for c in report.checks] == want_records
 
+    @pytest.mark.parametrize("adjacent_only", [False, True])
+    def test_builds_each_member_when_a_pair_first_needs_it(self, adjacent_only):
+        # member j is built just before the first record of its first
+        # pair, so member j + 1 after the records of pair (j - 1, j)
+        events = []
+
+        def family(i):
+            events.append(("build", i))
+            return rho(i)
+
+        verify_antichain(5, adjacent_only=adjacent_only, family=family,
+                         on_check=lambda rec: events.append(("check", rec.i, rec.j)))
+        want, built = [("build", 1)], {1}
+        for i in range(1, 5):
+            for j in range(i + 1, i + 2 if adjacent_only else 6):
+                if j not in built:
+                    want.append(("build", j))
+                    built.add(j)
+                want += [("check", i, j)] * len(bar_members(rho(i)))
+        assert events == want
+
 
 class TestVerifyChain:
     def test_small_prefix_passes(self):
@@ -237,6 +258,7 @@ class TestVerifyChain:
             raise AssertionError("the parity solver was called")
 
         monkeypatch.setattr("tanglekit.layout._planar_masks", refuse)
+        monkeypatch.setattr("tanglekit.layout._parity_pass", refuse)
         report = verify_chain(max_index, family=family)
         assert [(c.i, c.induced_ok) for c in report.checks] == want
 

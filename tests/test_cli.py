@@ -310,6 +310,13 @@ class TestPlanar:
         proc = run_cli(["planar", str(p)], timeout=10)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "true\n", "")
 
+    def test_ten_thousand_leaf_catergram_answers_in_one_pass(self, tmp_path):
+        # the pair table of 10000 leaves holds 5e7 pairs, about 10 s
+        p = tmp_path / "big.tg"
+        p.write_text(f"catergram {rho(4994)}\n")
+        proc = run_cli(["planar", str(p)], timeout=5)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "true\n", "")
+
     def test_large_catergram_with_a_planted_obstruction(self, tmp_path, capsys):
         p = tmp_path / "planted.tg"
         entries = [3, 2, 1, 4] + list(range(5, 1001))
@@ -654,6 +661,16 @@ class TestInduced:
         proc = run_cli(["induced", str(sub), str(sup)], timeout=10)
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "false\n", "")
 
+    def test_planar_ten_thousand_leaf_catergram_in_a_larger_one(self, tmp_path):
+        # the family is an antichain; heredity would solve the sub's
+        # 5e7-pair table first, about 10 s, before the search
+        sub = tmp_path / "sub.tg"
+        sub.write_text(f"catergram {rho(4994)}\n")
+        sup = tmp_path / "sup.tg"
+        sup.write_text(f"catergram {rho(4995)}\n")
+        proc = run_cli(["induced", str(sub), str(sup)], timeout=5)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "false\n", "")
+
     def test_contained(self, tmp_path, capsys):
         sub = tmp_path / "sub.tg"
         sub.write_text("catergram (2,1,3)\n")
@@ -777,6 +794,8 @@ PINNED_USAGE = [
     (["verify", "chain", "--max", "3", "--bogus"], 2, "",
      TOP_USAGE + "tanglekit: error: unrecognized arguments: --bogus\n"),
     (["census", "--siz", "3"], 0, "size 3: 2 tanglegrams\ncrossings 0: 2\n", ""),
+    # a size no census has is a usage error, whatever the cap
+    (["census", "--size", "0", "--cap", "-1"], 2, "", "error: size must be at least 1\n"),
     (["gen", "pi", "-1"], 2, "", "error: family index must be at least 1\n"),
 ]
 

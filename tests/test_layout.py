@@ -1,6 +1,8 @@
 """Layouts, crossing counts, planarity deciders, and crossing-free drawings."""
 
 import random
+import time
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -13,11 +15,13 @@ from tanglekit import (
     Permutation,
     RootedBinaryTree,
     Tanglegram,
+    caterpillar,
     catergram,
     count_crossings,
     count_inversions,
     crossing_number,
     excluded_tanglegrams,
+    format_tanglegram,
     is_catergram,
     is_planar,
     is_planar_catergram,
@@ -29,7 +33,7 @@ from tanglekit import (
     rho_layout,
 )
 from tanglekit import layout
-from tanglekit.layout import _mask_layout, _sweep
+from tanglekit.layout import _mask_layout, _parity_pass, _planar_masks, _sweep
 
 from conftest import (
     incremental_sweep,
@@ -39,6 +43,7 @@ from conftest import (
     pair_scan_inversions,
     per_mask_sweep,
     permutation_entries,
+    plant_obstruction,
     random_tanglegram,
     sorting_cater_search,
     sweep_planar_left_order,
@@ -358,6 +363,118 @@ class TestPlanarity:
     def test_forbidden_patterns_flag_themselves(self):
         for p in ((3, 2, 1, 4), (4, 2, 1, 3), (3, 2, 4, 1), (4, 2, 3, 1)):
             assert not is_planar_catergram(Permutation(p))
+
+
+def planar_entries(rng, n: int) -> list[int]:
+    """A permutation whose catergram is planar: a random leaf order of
+    caterpillar(n) on each side, matched position by position."""
+    cat = caterpillar(n)
+    left = cat.leaf_order(rng.getrandbits(n - 1))
+    right = cat.leaf_order(rng.getrandbits(n - 1))
+    entries = [0] * n
+    for a, b in zip(left, right):
+        entries[a - 1] = b
+    return entries
+
+
+def shuffled_catergram(rng, entries) -> Tanglegram:
+    """The catergram of ``entries`` as text, read back: string labels
+    and every child order shuffled on both sides."""
+    def cater(labels):
+        nested = labels[-1]
+        for lab in reversed(labels[:-1]):
+            nested = (lab, nested) if rng.random() < 0.5 else (nested, lab)
+        return nested
+
+    n = len(entries)
+    left = RootedBinaryTree.from_nested(cater([f"a{k}" for k in range(1, n + 1)]))
+    right = RootedBinaryTree.from_nested(cater([f"b{k}" for k in range(1, n + 1)]))
+    t = Tanglegram(left, right, {f"a{k}": f"b{v}" for k, v in enumerate(entries, 1)})
+    return parse_tanglegram(format_tanglegram(t))
+
+
+class TestParityPass:
+    """The one-pass decision on catergrams against the parity system it
+    solves."""
+
+    def test_every_permutation_up_to_size_eight(self):
+        checked = Counter()
+        for n in range(2, 9):
+            for p in permutations(range(1, n + 1)):
+                planar = _parity_pass(p)
+                assert planar == (_planar_masks(catergram(Permutation(p))) is not None), p
+                checked[planar] += 1
+        assert sum(checked.values()) == 46232 and checked[True] and checked[False]
+
+    def test_seeded_permutations_up_to_size_120(self):
+        rng = random.Random(26)
+        checked = Counter()
+        for k in range(600):
+            n = rng.randint(4, 120)
+            planar = planar_entries(rng, n)
+            near = planar[:]
+            a = rng.randrange(n - 1)
+            near[a], near[a + 1] = near[a + 1], near[a]
+            for kind, entries in (("planar", planar), ("near", near),
+                                  ("uniform", rng.sample(range(1, n + 1), n)),
+                                  ("planted", plant_obstruction(rng, planar))):
+                got = _parity_pass(entries)
+                want = _planar_masks(catergram(Permutation(entries))) is not None
+                assert got == want, (kind, entries)
+                checked[kind, got] += 1
+        assert checked["planar", True] == checked["planted", False] == 600
+        assert checked["near", True] and checked["near", False]
+        assert checked["uniform", False]
+
+    def test_parsed_catergrams_read_back_their_permutation(self):
+        rng = random.Random(27)
+        checked = Counter()
+        for k in range(300):
+            n = rng.randint(2, 40)
+            entries = planar_entries(rng, n) if k % 2 else rng.sample(range(1, n + 1), n)
+            t = shuffled_catergram(rng, entries)
+            assert is_catergram(t)
+            planar = is_planar(t)
+            assert planar == (_planar_masks(t) is not None) == is_planar(catergram(Permutation(entries)))
+            checked[planar] += 1
+            checked["reordered"] += t.left.leaves[0] != "a1"
+        assert checked[True] and checked[False] and checked["reordered"]
+
+    def test_other_tanglegrams_go_to_the_parity_system(self, monkeypatch):
+        def refuse(entries):
+            raise AssertionError("the catergram pass was called")
+
+        monkeypatch.setattr(layout, "_parity_pass", refuse)
+        for t in excluded_tanglegrams()[1:] + (parse_tanglegram("a ; a ; a:a"),):
+            assert is_planar(t) == (_planar_masks(t) is not None)
+
+    def test_large_catergrams_answer_in_near_linear_time(self):
+        # the pair table would read 5e7 and 2e8 leaf pairs
+        for pi in (rho(9994), Permutation(tuple(range(20000, 0, -1)))):
+            t = catergram(pi)
+            t0 = time.perf_counter()
+            assert is_planar(t)
+            assert time.perf_counter() - t0 < 1.0
+
+
+class TestEverySizeSixTanglegram:
+    """Planarity, crossing numbers and crossing-free layouts over all
+    1509 tanglegrams of size 6."""
+
+    def test_default_planarity_agrees_with_kuratowski(self, size_six_tanglegrams):
+        answers = [is_planar(t) for t in size_six_tanglegrams]
+        assert answers == [is_planar(t, "kuratowski") for t in size_six_tanglegrams]
+        assert (len(answers), sum(answers)) == (1509, 649)
+
+    def test_crossing_number_agrees_with_the_per_mask_sweep(self, size_six_tanglegrams):
+        for t in size_six_tanglegrams:
+            assert crossing_number(t) == per_mask_sweep(t)[0], t
+
+    def test_planar_layout_exactly_on_planar_inputs(self, size_six_tanglegrams):
+        for t in size_six_tanglegrams:
+            lay = planar_layout(t)
+            assert (lay is not None) == is_planar(t, "kuratowski"), t
+            assert lay is None or count_crossings(lay) == 0, t
 
 
 class TestPlanarLayout:

@@ -42,6 +42,7 @@ from conftest import (
     object_scan_induced_copy,
     ordered_shapes,
     permutation_entries,
+    plant_obstruction,
     random_tanglegram,
     suppressed_nested,
     tanglegrams,
@@ -324,12 +325,7 @@ def random_catergram(rng, n: int, planar: bool | None = None) -> Tanglegram:
 def planted_obstruction(rng, m: int) -> Tanglegram:
     """A catergram of size m >= 4 whose permutation has (3,2,1,4) planted
     at four random positions, so it is not planar."""
-    entries = rng.sample(range(1, m + 1), m)
-    at = sorted(rng.sample(range(m), 4))
-    low = sorted(entries[p] for p in at)
-    for p, rank in zip(at, (2, 1, 0, 3)):
-        entries[p] = low[rank]
-    return catergram(Permutation(entries))
+    return catergram(Permutation(plant_obstruction(rng, rng.sample(range(1, m + 1), m))))
 
 
 class TestHeredityFilter:
@@ -411,6 +407,7 @@ class TestCatergramRoute:
             raise AssertionError("the parity solver was called")
 
         monkeypatch.setattr("tanglekit.layout._planar_masks", refuse)
+        monkeypatch.setattr("tanglekit.layout._parity_pass", refuse)
         rng = random.Random(19)
         for k in range(20):
             sups = [random_tanglegram(rng, rng.randint(1, 7), planar=k % 2 == 0)]
@@ -427,6 +424,7 @@ class TestCatergramRoute:
         sups = [random_catergram(rng, rng.randint(6, 9), planar=k % 2 == 0) for k in range(12)]
         subs = [excluded_tanglegrams()[1], joined_caterpillars(2), joined_caterpillars(3)]
         monkeypatch.setattr("tanglekit.layout._planar_masks", refuse)
+        monkeypatch.setattr("tanglekit.layout._parity_pass", refuse)
         for sup in sups:
             for sub in subs:
                 assert not is_induced_sub(sub, sup)
