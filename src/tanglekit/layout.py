@@ -120,19 +120,11 @@ def _pair_table(t: Tanglegram) -> Iterator[tuple[int, dict[int, int], dict[int, 
 
     Flipping u or w swaps the two counts, so a pair split at (u, w)
     crosses exactly when x_u xor y_w differs from its stored state. Every
-    pair of leaves is visited once, O(n^2) in all. Right LCAs come from a
-    sparse table of minima over the right tree's LCA gaps, two lookups per
-    pair, so the memory besides the yielded counts is O(n log n).
+    pair of leaves is visited once, O(n^2) in all. Each right LCA is read
+    inline off the range-minimum table behind the right tree's
+    :meth:`~tanglekit.trees.RootedBinaryTree._lca_bit`: a call costs more.
     """
-    gaps = t.right.lca_gaps()
-    # sparse[k][g] = min(gaps[g:g + 2**k]); the gaps [a, b) are covered by
-    # the two runs of the largest 2**k <= b - a that start at a and end at b,
-    # and run[b - a - 1] holds that row and 2**k
-    sparse = [gaps]
-    while 2 ** len(sparse) <= len(gaps):
-        prev, half = sparse[-1], 2 ** (len(sparse) - 1)
-        sparse.append([x if x < y else y for x, y in zip(prev, prev[half:])])
-    run = [(sparse[k], 1 << k) for k in (L.bit_length() - 1 for L in range(1, len(gaps) + 1))]
+    runs = t.right._lca_table()
     rpos = {lab: k for k, lab in enumerate(t.right.leaves)}
     at = [rpos[t.right_partner(lab)] for lab in t.left.leaves]
     # left leaves p < q split at u, so p comes first while u is as stored
@@ -142,7 +134,7 @@ def _pair_table(t: Tanglegram) -> Iterator[tuple[int, dict[int, int], dict[int, 
         for i in at[lo:mid]:
             for j in at[mid:hi]:
                 a, b, count = (i, j, uncrossed) if i < j else (j, i, crossed)
-                row, span = run[b - a - 1]
+                row, span = runs[b - a - 1]
                 x, y = row[a], row[b - span]
                 w = x if x < y else y
                 count[w] = count.get(w, 0) + 1
@@ -417,9 +409,10 @@ def is_planar(t: Tanglegram, method: str = "oracle") -> bool:
     obstruction. On a catergram that is the forbidden-pattern test of
     :func:`is_planar_catergram`; any other tanglegram has every 4-edge
     subset scanned on leaf positions, which reads each subset's shape
-    off the trees' LCA gap arrays and builds trees only for a shape that
-    passes the distance-pair filter for the first time. That is C(n,4)
-    subsets of at most O(n) cheap steps each, with no size cap either.
+    from the two trees' LCA tables, O(1) per adjacent pair of leaves,
+    and builds trees only for a shape that passes the distance-pair
+    filter for the first time. That is C(n,4) subsets of a few cheap
+    steps each, with no size cap either.
     The two methods agree; the test suite exercises that equivalence.
     """
     if method == "oracle":

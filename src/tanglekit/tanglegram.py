@@ -27,6 +27,7 @@ from .perm import Permutation, bar_members, pattern_occurs, standardize
 from .trees import (
     Label,
     RootedBinaryTree,
+    _min_cartesian,
     _nested_table,
     caterpillar,
     label_from_token,
@@ -84,7 +85,7 @@ class Tanglegram:
         self._fwd = fwd
         self._bwd = {r: l for l, r in pairs}
         self._pairs = pairs
-        self._perm: Permutation | None = None  # set by catergram()
+        self._perm: Permutation | None = None  # set by catergram() or a first read-back
 
     @property
     def left(self) -> RootedBinaryTree:
@@ -161,7 +162,8 @@ def catergram_permutation(t: Tanglegram) -> Permutation:
     The two deepest leaves on each side can be indexed either way, so
     the result is well defined only up to its bar set; the choice made
     here is deterministic for a given tree representation. A
-    :func:`catergram` returns its own ``pi``, which a read-back would give.
+    :func:`catergram` returns its own ``pi``, which a read-back would give,
+    and any other tanglegram keeps its first read-back.
     """
     if t._perm is not None:
         return t._perm
@@ -171,7 +173,8 @@ def catergram_permutation(t: Tanglegram) -> Permutation:
     right_pos = _distance_positions(t.right)
     label_at = {p: lab for lab, p in left_pos.items()}
     n = t.size
-    return Permutation._of(tuple(right_pos[t.right_partner(label_at[i])] for i in range(1, n + 1)))
+    t._perm = Permutation._of(tuple(right_pos[t.right_partner(label_at[i])] for i in range(1, n + 1)))
+    return t._perm
 
 
 # ----------------------------------------------------------------------
@@ -305,27 +308,6 @@ def is_induced_sub(sub: Tanglegram, sup: Tanglegram) -> bool:
     return _has_induced_copy(sup, [sub])
 
 
-def _induced_depths(bits: Sequence[int]) -> list[int]:
-    """Depth of each of m chosen leaves in the tree they induce, from the
-    m-1 LCA bits of adjacent chosen leaves (stored order).
-
-    The ancestors of leaf k are its LCAs with the other chosen leaves:
-    reading the bits away from k on either side, each new running minimum
-    is one more ancestor. A stack of the running minima counts them in
-    one pass per side.
-    """
-    depths = [0] * (len(bits) + 1)
-    for order, at in ((range(len(bits)), 1), (range(len(bits) - 1, -1, -1), 0)):
-        stack: list[int] = []
-        for g in order:
-            b = bits[g]
-            while stack and stack[-1] > b:
-                stack.pop()
-            stack.append(b)
-            depths[g + at] += len(stack)
-    return depths
-
-
 def _subset_profiles(sup: Tanglegram, m: int):
     """Per m-edge subset of ``sup``, in combinations order of its edges:
     the subset's edges, the sorted distance pairs of the tanglegram it
@@ -335,29 +317,30 @@ def _subset_profiles(sup: Tanglegram, m: int):
     leaves (stored order), which fixes the induced left tree with its
     leaves in stored order, the same for the right, and the matching as
     ranks: for the k-th chosen left leaf, its partner's rank among the
-    chosen right leaves. Depths depend on the patterns alone, so they
-    are derived once per pattern.
+    chosen right leaves. Depths depend on the patterns alone, so
+    :func:`_min_cartesian` folds them once per pattern.
     """
-    lgaps, rgaps = sup.left.lca_gaps(), sup.right.lca_gaps()
+    lca_l, lca_r = sup.left._lca_bit, sup.right._lca_bit
     lpos = {lab: k for k, lab in enumerate(sup.left.leaves)}
     rpos = {lab: k for k, lab in enumerate(sup.right.leaves)}
     # left positions are distinct, so the edges never get compared
     ends = [(lpos[l], rpos[r], (l, r)) for l, r in sup.edges]
     depths_of: dict[tuple[int, ...], list[int]] = {}
     gaps_between = range(m - 1)
+    deepen = lambda a, b: [d + 1 for d in a + b]  # a vertex puts its leaves one deeper
     for subset in combinations(ends, m):
         chosen = sorted(subset)
         rs = sorted([q for _, q, _ in chosen])
-        lbits = [min(lgaps[a:b]) for (a, _, _), (b, _, _) in zip(chosen, chosen[1:])]
-        rbits = [min(rgaps[a:b]) for a, b in zip(rs, rs[1:])]
+        lbits = [lca_l(a, b) for (a, _, _), (b, _, _) in zip(chosen, chosen[1:])]
+        rbits = [lca_r(a, b) for a, b in zip(rs, rs[1:])]
         lpat = tuple(sorted(gaps_between, key=lbits.__getitem__))
         rpat = tuple(sorted(gaps_between, key=rbits.__getitem__))
         dl = depths_of.get(lpat)
         if dl is None:
-            dl = depths_of[lpat] = _induced_depths(lbits)
+            dl = depths_of[lpat] = _min_cartesian(lbits, [[0]] * m, deepen)
         dr = depths_of.get(rpat)
         if dr is None:
-            dr = depths_of[rpat] = _induced_depths(rbits)
+            dr = depths_of[rpat] = _min_cartesian(rbits, [[0]] * m, deepen)
         match = tuple([rs.index(q) for _, q, _ in chosen])
         pairs = tuple(sorted([(d, dr[j]) for d, j in zip(dl, match)]))
         yield [e for _, _, e in subset], pairs, (lpat, rpat, match)
@@ -374,9 +357,9 @@ def _has_induced_copy(sup: Tanglegram, targets: Sequence[Tanglegram]) -> bool:
     permutation, or any member of its bar set, is a pattern of
     ``sup``'s. Any other ``sup`` (and m = 1, whose single edge is no
     catergram) is scanned: the m-edge subsets in combinations order on
-    leaf positions. The LCA gap arrays of the two trees give each
-    subset's distance pairs, which filter it against the targets'. A
-    subset that passes is looked up in a per-call memo under the key of
+    leaf positions. The LCA tables of the two trees give each subset's
+    distance pairs, which filter it against the targets'. A subset
+    that passes is looked up in a per-call memo under the key of
     :func:`_subset_profiles`; only on a miss is the candidate built and
     its canonical form compared with the targets'.
     """

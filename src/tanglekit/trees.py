@@ -109,6 +109,27 @@ def _nested_table(nested: Nested) -> tuple[tuple[tuple[int, int] | None, ...], d
     return tuple([None if k is None else (k[0], k[1]) for k in kids]), labels
 
 
+def _min_cartesian(bits: Sequence[int], leaves: Sequence[T], join: Callable[[T, T], T]) -> T:
+    """Fold, as :meth:`RootedBinaryTree.fold` does with ``join``, the tree
+    that m chosen leaves induce, from their values in stored order and
+    the m-1 LCA bits of adjacent ones. It is the bits' min-Cartesian
+    tree: the bits are distinct, one per internal vertex, and smaller
+    above. One stack pass builds it in O(m): each bit closes the open
+    vertices with larger bits, and each closed vertex takes the subtree
+    built so far as its second child.
+    """
+    node = leaves[0]
+    spine: list[tuple[int, T]] = []  # open vertices: bit and first child, bits increasing
+    for b, leaf in zip(bits, leaves[1:]):
+        while spine and spine[-1][0] > b:
+            node = join(spine.pop()[1], node)
+        spine.append((b, node))
+        node = leaf
+    while spine:
+        node = join(spine.pop()[1], node)
+    return node
+
+
 class RootedBinaryTree:
     """An immutable rooted tree whose internal vertices all have two children.
 
@@ -138,6 +159,7 @@ class RootedBinaryTree:
         "_lo",
         "_hi",
         "_canon",
+        "_lca_runs",
     )
 
     def __init__(
@@ -239,6 +261,7 @@ class RootedBinaryTree:
         # free list when made but joins it when freed, which bloats the list
         self._leaves = tuple([label_of[v] for v in leaf_ids])
         self._canon: str | None = None
+        self._lca_runs: list[tuple[Sequence[int], int]] | None = None
 
     # ------------------------------------------------------------------
     # the two walks every other traversal is built on
@@ -465,12 +488,14 @@ class RootedBinaryTree:
                 yield bit[v], lo[v], hi[pair[0]], hi[v]
 
     def lca_gaps(self) -> tuple[int, ...]:
-        """The LCA primitive: entry g is the swap-mask bit of the lowest
-        common ancestor of stored leaves g and g+1 (see :attr:`leaves`).
+        """Entry g is the swap-mask bit of the lowest common ancestor of
+        stored leaves g and g+1 (see :attr:`leaves`).
 
         For stored leaves i < j the lowest common ancestor has the bit
         ``min(gaps[i:j])``: bits number internal vertices in preorder, so
-        an ancestor's bit is smaller than any of its descendants'. Built
+        an ancestor's bit is smaller than any of its descendants'. The
+        LCA primitive is the private :meth:`_lca_bit`, which takes that
+        minimum in O(1) from a range-minimum table over these gaps. Built
         in O(n) from :meth:`splits`: a vertex owns the gap between the
         last leaf of its first child and the first of its second.
         """
@@ -479,29 +504,47 @@ class RootedBinaryTree:
             gaps[mid - 1] = b
         return tuple(gaps)
 
+    def _lca_table(self) -> list[tuple[Sequence[int], int]]:
+        # Built once, in O(n log n): entry L - 1 is (row, span), span the
+        # largest power of two <= L and row[g] = min(gaps[g:g + span]), so
+        # the runs of span gaps from i and to i + L cover gaps[i:i + L].
+        if self._lca_runs is None:
+            rows: list[Sequence[int]] = [self.lca_gaps()]
+            while 2 ** len(rows) <= len(rows[0]):
+                prev, half = rows[-1], 2 ** (len(rows) - 1)
+                rows.append([x if x < y else y for x, y in zip(prev, prev[half:])])
+            runs = [(row, 1 << k) for k, row in enumerate(rows)]
+            self._lca_runs = [runs[L.bit_length() - 1] for L in range(1, len(rows[0]) + 1)]
+        return self._lca_runs
+
+    def _lca_bit(self, i: int, j: int) -> int:
+        """Swap-mask bit of the LCA of stored leaves i < j, in O(1)."""
+        row, span = (self._lca_runs or self._lca_table())[j - i - 1]
+        x, y = row[i], row[j - span]
+        return x if x < y else y
+
     # ------------------------------------------------------------------
     # induced subtree
 
     def induced(self, labels: Iterable[Label]) -> "RootedBinaryTree":
         """Smallest subtree spanning the given leaves, degree-2 vertices suppressed.
 
-        The new root is the vertex closest to the old root, so a root
-        left with a single child is contracted downward until a
-        branching vertex or a lone leaf is reached.
+        The new root is the vertex closest to the old root, so a root left
+        with a single child is contracted downward until a branching vertex or
+        a lone leaf is reached. One :func:`_min_cartesian` pass builds it in
+        O(m log m) for m leaves, after the first call on a tree has built its
+        LCA table in O(n log n); the library calls it only on the candidates
+        of an induced-copy scan, which has built both tables.
         """
         want = set(labels)
         if not want:
             raise ValueError("the label set must be non-empty")
-        unknown = want - set(self._vertex_of)
+        unknown = want - self._vertex_of.keys()
         if unknown:
             raise ValueError(f"unknown leaf labels: {sorted(map(str, unknown))}")
-
-        # a vertex with kept leaves on one side only is suppressed
-        nested = self.fold(
-            lambda lab: lab if lab in want else None,
-            lambda v, a, b: b if a is None else a if b is None else (a, b),
-        )
-        assert nested is not None
+        at = sorted([self._lo[self._vertex_of[lab]] for lab in want])
+        bits = [self._lca_bit(i, j) for i, j in zip(at, at[1:])]
+        nested = _min_cartesian(bits, [self._leaves[i] for i in at], lambda a, b: (a, b))
         return RootedBinaryTree._of(*_nested_table(nested))
 
     # ------------------------------------------------------------------
@@ -565,4 +608,5 @@ def caterpillar(n: int) -> RootedBinaryTree:
     tree._lo = tuple(lo)
     tree._hi = tuple(hi)
     tree._canon = None
+    tree._lca_runs = None
     return tree

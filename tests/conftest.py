@@ -364,23 +364,44 @@ def object_scan_induced_copy(sup: Tanglegram, targets) -> bool:
 
 
 def brute_lca_bit(tree: RootedBinaryTree, a, b) -> int:
-    """Swap-mask bit of the lowest common ancestor of leaves a and b: the
-    deepest vertex whose leaves hold both, numbered among the internal
-    vertices in preorder by a walk over ``children``."""
-    best = None
-    bit = 0
-    todo = [(tree.root, 0)]
+    """Swap-mask bit of the lowest common ancestor of leaves a and b, by a
+    parent-pointer walk: a walk over ``children`` numbers the internal
+    vertices in preorder and records each vertex's parent, the ancestors
+    of a are marked, and b climbs to the first marked one."""
+    parent, bit_of, todo = {}, {}, [tree.root]
     while todo:
-        v, depth = todo.pop()
+        v = todo.pop()
         kids = tree.children(v)
-        if kids is None:
-            continue
-        if {a, b} <= tree.subtree_labels(v) and (best is None or depth > best[0]):
-            best = (depth, bit)
-        bit += 1
-        todo += [(kids[1], depth + 1), (kids[0], depth + 1)]
-    assert best is not None
-    return best[1]
+        if kids is not None:
+            bit_of[v] = len(bit_of)
+            parent[kids[0]] = parent[kids[1]] = v
+            todo += [kids[1], kids[0]]
+    marked, v = set(), tree.vertex_of(a)
+    while v in parent:
+        v = parent[v]
+        marked.add(v)
+    v = tree.vertex_of(b)
+    while v not in marked:
+        v = parent[v]
+    return bit_of[v]
+
+
+def pair_table_by_pairs(t: Tanglegram) -> list:
+    """``layout._pair_table``'s rows by counting every pair of left leaves,
+    both LCAs from :func:`brute_lca_bit`: per left bit u, in increasing
+    order, ``(u, crossed, uncrossed)``, the pairs split at u counted per
+    right bit, as they cross or not while both trees are as stored."""
+    rpos = {lab: k for k, lab in enumerate(t.right.leaves)}
+    rows = [(u, {}, {}) for u in range(t.left.internal_count)]
+    leaves = t.left.leaves
+    for p, a in enumerate(leaves):
+        for b in leaves[p + 1:]:
+            ra, rb = t.right_partner(a), t.right_partner(b)
+            _, crossed, uncrossed = rows[brute_lca_bit(t.left, a, b)]
+            count = crossed if rpos[ra] > rpos[rb] else uncrossed
+            w = brute_lca_bit(t.right, ra, rb)
+            count[w] = count.get(w, 0) + 1
+    return rows
 
 
 def _orient(ax, ay, bx, by, cx, cy) -> int:
@@ -499,13 +520,23 @@ def layouts(draw, min_size: int = 2, max_size: int = 7):
     return Layout(t, t.left.leaf_order(lmask), t.right.leaf_order(rmask))
 
 
-def random_nested(rng, labels):
+def random_nested(rng, labels, split=None):
     """A random tree shape over ``labels`` (in order), each vertex's
-    children swapped with probability 1/2."""
+    children swapped with probability 1/2. ``split(k)``, when given,
+    fixes how many of a vertex's k leaves go left of the others: 1 for a
+    caterpillar, ``k // 2`` for a balanced tree."""
     if len(labels) == 1:
         return labels[0]
-    k = rng.randint(1, len(labels) - 1)
-    a, b = random_nested(rng, labels[:k]), random_nested(rng, labels[k:])
+    k = rng.randint(1, len(labels) - 1) if split is None else split(len(labels))
+    a, b = random_nested(rng, labels[:k], split), random_nested(rng, labels[k:], split)
+    return (a, b) if rng.random() < 0.5 else (b, a)
+
+
+def _shuffled(rng, nested):
+    # the same unordered tree, each vertex's children swapped at random
+    if not isinstance(nested, tuple):
+        return nested
+    a, b = _shuffled(rng, nested[0]), _shuffled(rng, nested[1])
     return (a, b) if rng.random() < 0.5 else (b, a)
 
 
@@ -554,16 +585,17 @@ def assert_same_slots(got: RootedBinaryTree, want: RootedBinaryTree) -> None:
         assert type(a) is type(b) and a == b, slot
 
 
-def random_tanglegram(rng, n: int, planar: bool = False) -> Tanglegram:
-    """A seeded random tanglegram of size n. With ``planar`` the right
-    tree is grown over the left leaves in the order of a random left
+def random_tanglegram(rng, n: int, planar: bool = False, split=None) -> Tanglegram:
+    """A seeded random tanglegram of size n, both tree shapes drawn by
+    :func:`random_nested` with ``split``. With ``planar`` the right tree
+    is grown over the left leaves in the order of a random left
     embedding, so that some layout has no crossings."""
-    left = RootedBinaryTree.from_nested(random_nested(rng, list(range(1, n + 1))))
+    left = RootedBinaryTree.from_nested(random_nested(rng, list(range(1, n + 1)), split))
     if planar:
         order = list(left.leaf_order(rng.randrange(1 << left.internal_count)))
     else:
         order = rng.sample(range(1, n + 1), n)
-    right = RootedBinaryTree.from_nested(random_nested(rng, [f"r{lab}" for lab in order]))
+    right = RootedBinaryTree.from_nested(random_nested(rng, [f"r{lab}" for lab in order], split))
     return Tanglegram(left, right, {lab: f"r{lab}" for lab in order})
 
 

@@ -183,3 +183,14 @@ def test_no_library_function_calls_itself():
                             and call.func.id == node.name):
                         found.add((path.stem, node.name))
     assert found <= allowed, f"functions that call themselves by name: {sorted(found - allowed)}"
+
+
+def test_only_trees_reads_the_lca_gaps():
+    # One LCA table per tree: every other module asks the tree for its
+    # LCAs, so it cannot build a second range-minimum structure over them.
+    found = set()
+    for path in sorted(Path(tanglekit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if "lca_gaps" in (getattr(node, "attr", None), getattr(node, "id", None)):
+                found.add(path.stem)
+    assert found == {"trees"}, f"modules that read lca_gaps: {sorted(found)}"

@@ -28,12 +28,13 @@ from tanglekit import (
     layout_permutation,
     min_crossing_layout,
     parse_tanglegram,
+    pi_seq,
     planar_layout,
     rho,
     rho_layout,
 )
 from tanglekit import layout
-from tanglekit.layout import _mask_layout, _parity_pass, _planar_masks, _sweep
+from tanglekit.layout import _mask_layout, _pair_table, _parity_pass, _planar_masks, _sweep
 
 from conftest import (
     incremental_sweep,
@@ -41,6 +42,7 @@ from conftest import (
     naive_crossing_number,
     pair_scan_crossings,
     pair_scan_inversions,
+    pair_table_by_pairs,
     per_mask_sweep,
     permutation_entries,
     plant_obstruction,
@@ -170,6 +172,23 @@ class TestCrossingNumber:
         assert cost == 0
         assert lay.left_order == (1, 2, 3)
         assert lay.right_order == (1, 2, 3)
+
+
+class TestPairTable:
+    """The pair table's rows, counts included, against the count of every
+    leaf pair in conftest, both LCAs from a parent-pointer walk."""
+
+    def test_caterpillar_balanced_and_random_trees(self):
+        rng = random.Random(15)
+        for n in range(2, 41):
+            for split in (lambda k: 1, lambda k: k // 2, None):
+                t = random_tanglegram(rng, n, split=split)
+                assert list(_pair_table(t)) == pair_table_by_pairs(t), t
+
+    def test_catergrams_of_the_nested_family(self):
+        for i in range(1, 21):
+            t = catergram(pi_seq(i))
+            assert list(_pair_table(t)) == pair_table_by_pairs(t), i
 
 
 class TestIncrementalSweep:

@@ -31,12 +31,15 @@ from tanglekit import (
     is_induced_sub,
     is_planar,
     parse_tanglegram,
+    pi_seq,
     restrict,
     rho,
 )
+from tanglekit import tanglegram
 from tanglekit.tanglegram import _has_induced_copy, _shapes, _subset_profiles
 
 from conftest import (
+    _shuffled,
     checked_copy,
     joined_caterpillars,
     object_scan_induced_copy,
@@ -123,6 +126,18 @@ class TestCatergram:
             assert catergram_permutation(t) is pi
             assert catergram_permutation(copy) == pi
 
+    @pytest.mark.parametrize("family", [rho, pi_seq])
+    def test_is_induced_sub_reads_each_parsed_catergram_once(self, monkeypatch, family):
+        # rho's catergrams are planar and pi_seq's are not, so with pi_seq
+        # the heredity filter decides both before the search reads them
+        assert [is_planar(catergram(family(i))) for i in (1, 2)] == [family is rho] * 2
+        sub, sup = (parse_tanglegram(format_tanglegram(catergram(family(i)))) for i in (1, 2))
+        read = []
+        real = tanglegram._distance_positions
+        monkeypatch.setattr(tanglegram, "_distance_positions", lambda tree: read.append(tree) or real(tree))
+        is_induced_sub(sub, sup)
+        assert sorted(map(id, read)) == sorted(map(id, (sub.left, sub.right, sup.left, sup.right)))
+
     def test_permutation_requires_caterpillars(self):
         bal = RootedBinaryTree.from_nested(((1, 2), (3, 4)))
         t = Tanglegram(bal, bal, {i: i for i in range(1, 5)})
@@ -208,6 +223,23 @@ class TestEquality:
             {lmap[l]: rmap[r] for l, r in t.edges},
         )
         assert equal(t, relabeled)
+
+
+def test_every_size_six_form_survives_relabeling_and_re_embedding(size_six_tanglegrams):
+    rng = random.Random(6)
+    forms = set()
+    for t in size_six_tanglegrams:
+        lmap = dict(zip(range(1, 7), rng.sample([f"l{k}" for k in range(6)], 6)))
+        rmap = dict(zip(range(1, 7), rng.sample([f"r{k}" for k in range(6)], 6)))
+        copy = Tanglegram(
+            RootedBinaryTree.from_nested(_shuffled(rng, _map_nested(t.left.to_nested(), lmap))),
+            RootedBinaryTree.from_nested(_shuffled(rng, _map_nested(t.right.to_nested(), rmap))),
+            {lmap[l]: rmap[r] for l, r in t.edges},
+        )
+        form = canonical_form(t)
+        assert canonical_form(copy) == form, t
+        forms.add(form)
+    assert len(forms) == len(size_six_tanglegrams) == 1509
 
 
 def _map_nested(node, mapping):

@@ -10,6 +10,7 @@ from tanglekit import RootedBinaryTree, caterpillar
 
 from conftest import (
     _label_shape,
+    _shuffled,
     assert_same_slots,
     brute_lca_bit,
     checked_copy,
@@ -127,16 +128,22 @@ def test_caterpillar_closed_form_matches_the_checked_build():
 
 def test_induced_matches_the_checked_build():
     # induced builds unchecked; the reference is the checked build of
-    # the suppressed nested form
+    # the suppressed nested form, down to the preorder vertex ids
     rng = random.Random(11)
-    for _ in range(300):
-        n = rng.randint(1, 30)
+    cases = []
+    for size in [None] * 300 + [100, 200, 300] * 4:
+        n = size or rng.randint(1, 30)
         labels = list(range(1, n + 1))
         nested = random_nested(rng, labels)
-        keep = set(rng.sample(labels, rng.randint(1, n)))
-        got = RootedBinaryTree.from_nested(nested).induced(keep)
-        want = RootedBinaryTree.from_nested(suppressed_nested(nested, keep))
+        cases.append((RootedBinaryTree.from_nested(nested), nested, rng.sample(labels, rng.randint(1, n))))
+    deep = caterpillar(800)  # as deep as it has leaves
+    for keep in ([1, 800], [799, 800], rng.sample(range(1, 801), 400), range(1, 801)):
+        cases.append((deep, deep.to_nested(), keep))
+    for tree, nested, keep in cases:
+        got = tree.induced(keep)
+        want = RootedBinaryTree.from_nested(suppressed_nested(nested, set(keep)))
         assert_same_slots(got, checked_copy(got))  # before == fills _canon
+        assert got._kids == want._kids
         assert got.to_newick() == want.to_newick()
         assert got.leaves == want.leaves
         assert got == want
@@ -218,14 +225,6 @@ def test_equality_ignores_child_order():
     assert a != caterpillar(3)  # different labels
 
 
-def _shuffled(rng, nested):
-    # the same unordered tree, each vertex's children swapped at random
-    if not isinstance(nested, tuple):
-        return nested
-    a, b = _shuffled(rng, nested[0]), _shuffled(rng, nested[1])
-    return (a, b) if rng.random() < 0.5 else (b, a)
-
-
 def _padded(rng, nested, extra):
     # the tree with extra leaves hung next to random vertices, which
     # ``induced`` on the original labels suppresses again
@@ -295,9 +294,12 @@ def test_subtree_labels():
 
 
 def test_lca_gaps_give_the_lca_of_every_leaf_pair():
+    # gaps and the O(1) _lca_bit against a parent-pointer walk
     rng = random.Random(2)
     trees = [RootedBinaryTree.from_nested(random_nested(rng, list(range(1, rng.randint(1, 14) + 1))))
              for _ in range(60)]
+    trees += [RootedBinaryTree.from_nested(_label_shape(shape, range(1, n + 1)))
+              for n in range(1, 8) for shape in ordered_shapes(n)]
     # ids out of preorder: root 0, internal 2 above the leaves 3 and 4
     trees.append(RootedBinaryTree([(2, 1), None, (3, 4), None, None], {1: "a", 3: "b", 4: "c"}))
     assert trees[-1].leaves == ("b", "c", "a") and trees[-1].lca_gaps() == (1, 0)
@@ -306,7 +308,13 @@ def test_lca_gaps_give_the_lca_of_every_leaf_pair():
         assert len(gaps) == tree.n_leaves - 1
         for i in range(len(leaves)):
             for j in range(i + 1, len(leaves)):
-                assert min(gaps[i:j]) == brute_lca_bit(tree, leaves[i], leaves[j])
+                assert min(gaps[i:j]) == tree._lca_bit(i, j) == brute_lca_bit(tree, leaves[i], leaves[j])
+    # sampled pairs of 2000 leaves, in a caterpillar as deep as it is wide
+    for tree in (caterpillar(2000), RootedBinaryTree.from_nested(random_nested(rng, list(range(2000))))):
+        gaps, leaves = tree.lca_gaps(), tree.leaves
+        pairs = [(0, 1999), (0, 1), (1998, 1999)] + [sorted(rng.sample(range(2000), 2)) for _ in range(60)]
+        for i, j in pairs:
+            assert min(gaps[i:j]) == tree._lca_bit(i, j) == brute_lca_bit(tree, leaves[i], leaves[j])
 
 
 def test_rejects_disconnected_vertex():
