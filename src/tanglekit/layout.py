@@ -9,16 +9,16 @@ left positions to partner positions.
 
 A tanglegram is planar when some layout has no crossings. Planarity has
 two independent deciders. The default, the oracle, solves the swap-bit
-parity system in O(n^2): two matching edges whose ends split at the left
-vertex u and the right vertex w cross exactly when u's swap bit xor w's
-differs from their stored state, so a planar tanglegram is one whose XOR
-equations are consistent, and a solution is a crossing-free layout. On a
-catergram the same system is decided in one pass over its permutation,
-in O(n alpha(n)); layouts still read the O(n^2) solution. The
-excluded-pattern test, kept as the cross-check, asks the one induced-copy
-search for either of two size-4 obstructions; that search routes a
-catergram to its four forbidden permutation patterns and scans any other
-tanglegram, and never calls the parity solver.
+parity system: two matching edges whose ends split at the left vertex u
+and the right vertex w cross exactly when u's swap bit xor w's differs
+from their stored state, so a planar tanglegram is one whose XOR
+equations are consistent, and a solution is a crossing-free layout. One
+union-find with parities solves it, fed by the O(n^2) pair table, which
+layouts read, or on a catergram by O(n) equations from one pass over its
+permutation. The excluded-pattern test, kept as the cross-check, asks
+the one induced-copy search for either of two size-4 obstructions; that
+search routes a catergram to its four forbidden permutation patterns and
+scans any other tanglegram, and never calls the parity solver.
 
 The exhaustive sweep behind the crossing number, and behind the
 crossing-minimal layouts of non-planar tanglegrams, reads the parity
@@ -34,7 +34,7 @@ only when that strictly lowers the count. A zero ends the sweep.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, InvalidLayoutError
 from .perm import Permutation, count_inversions, rho
@@ -220,49 +220,114 @@ def _sweep(t: Tanglegram) -> tuple[int, int, int]:
     return (whole - best) // 2, best_mask, right_mask
 
 
+def _solve(size: int, equations: Iterable[tuple[int, int, int]]) -> tuple[list[int], list[int]] | None:
+    """Solve the XOR equations ``(a, b, p)``, meaning x_a xor x_b = p, over
+    the bits 0..size-1: the forest ``(parent, parity)`` of a union-find
+    with parities, where ``parity[v]`` is x_v xor x_parent[v], or None at
+    the first equation that contradicts those before it.
+
+    Equations are pulled one at a time, so a contradiction stops their
+    source. Union by size keeps every path O(log size) long, and each
+    find halves the path it walks (Tarjan & van Leeuwen, JACM 31(2), 1984).
+    """
+    parent = list(range(size))
+    parity = [0] * size
+    weight = [1] * size  # the number of bits below each root
+    for a, b, p in equations:
+        # a and b go to their roots; p becomes the xor of the two roots'
+        # values that the equation forces
+        while parent[a] != a:  # halving the path on the way
+            up = parent[a]
+            parent[a] = parent[up]
+            parity[a] ^= parity[up]
+            p ^= parity[a]
+            a = parent[a]
+        while parent[b] != b:
+            up = parent[b]
+            parent[b] = parent[up]
+            parity[b] ^= parity[up]
+            p ^= parity[b]
+            b = parent[b]
+        if a == b:
+            if p:
+                return None
+        elif weight[a] < weight[b]:
+            parent[a], parity[a] = b, p
+            weight[b] += weight[a]
+        else:
+            parent[b], parity[b] = a, p
+            weight[a] += weight[b]
+    return parent, parity
+
+
+def _pair_equations(t: Tanglegram) -> Iterator[tuple[int, int, int]]:
+    """The parity system of ``t`` from :func:`_pair_table`, row by row.
+
+    No pair crosses exactly when x_u xor y_w equals the stored state of
+    every pair split at (u, w): one equation per state that occurs at
+    (u, w), so a (u, w) with pairs in both states is the shortest
+    contradiction. Right bit w is bit nl + w.
+    """
+    nl = t.left.internal_count
+    for u, crossed, uncrossed in _pair_table(t):
+        for w in crossed:
+            yield u, nl + w, 1
+        for w in uncrossed:
+            yield u, nl + w, 0
+
+
+def _catergram_equations(entries: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """The parity system of the catergram of the permutation ``entries``,
+    reduced to O(n) equations on its values 1..n in one pass.
+
+    Both caterpillars are in stored order 1..n, so leaves a < b split at
+    left bit a-1 and at right bit min(pi(a), pi(b))-1, and their edges
+    cross exactly when pi(a) > pi(b). No pair crosses when, for each a,
+    x[a-1] = y[pi(a)-1] if some later entry is larger, and
+    x[a-1] != y[pi(b)-1] for each later b with pi(b) < pi(a). Left bit
+    a-1 is in no other equation, and eliminating it leaves two rules on
+    values: every later value below pi(a) gets one colour, and pi(a) the
+    other when some later value is larger and some is smaller.
+
+    Read right to left, the values seen so far lie in blocks of one
+    colour on a stack, each block named by its least value, the lowest
+    on top. The blocks whose least value is below pi(a) are popped, and
+    each is joined at parity 0 to the first one popped. Then pi(a) is
+    pushed, joined at parity 1 to that merged block when some block was
+    popped and a larger value was seen, and the merged block goes back
+    on top. Each step pushes at most two blocks.
+    """
+    blocks: list[int] = []  # the least value of each block, the lowest on top
+    high = 0  # the largest value seen
+    for v in reversed(entries):
+        if blocks and blocks[-1] < v:
+            low = blocks.pop()
+            while blocks and blocks[-1] < v:
+                yield low, blocks.pop(), 0
+            if high > v:
+                yield v, low, 1
+            blocks += (v, low)
+        else:
+            blocks.append(v)
+        if v > high:
+            high = v
+
+
 def _planar_masks(t: Tanglegram) -> tuple[int, int] | None:
     """The smallest left swap mask with no crossings and the right swap
     mask that goes with it, or None when every layout has a crossing.
 
-    No pair crosses exactly when x_u xor y_w equals the stored state of
-    every pair split at (u, w): one XOR equation per state that occurs
-    at (u, w), which a union-find with parities collects. An equation
-    that contradicts those before it leaves no solution; a (u, w) with
-    pairs in both states is the shortest such case. Otherwise fixing one
-    bit of a component fixes all of them, and the smallest mask sets the
+    :func:`_solve` solves :func:`_pair_equations`. Fixing one bit of a
+    component then fixes all of them, and the smallest mask sets the
     highest left bit of each component to 0, found in O(n^2). Every
     right bit shares a component with a left bit, so the left mask
     forces the right one.
     """
-    nl, nr = t.left.internal_count, t.right.internal_count
-    parent = list(range(nl + nr))  # right bit w is nl + w
-    parity = [0] * len(parent)  # a bit's value xor its parent's
-    size = [1] * len(parent)  # union by size keeps every path O(log n) long
-    for u, crossed, uncrossed in _pair_table(t):
-        # u's root, and u's value xor the root's: no row before u's holds
-        # u, and a union re-parents only a root it touched, so ru is u
-        ru, pu = u, 0
-        for counts, state in ((crossed, 1), (uncrossed, 0)):
-            for w in counts:
-                # rw: w's root; p: the xor of the two roots' values that
-                # x_u xor y_w = state forces
-                rw, p = nl + w, pu ^ state
-                while parent[rw] != rw:  # halving the path on the way
-                    up = parent[rw]
-                    parent[rw] = parent[up]
-                    parity[rw] ^= parity[up]
-                    p ^= parity[rw]
-                    rw = parent[rw]
-                if ru == rw:
-                    if p:
-                        return None
-                elif size[ru] < size[rw]:
-                    parent[ru], parity[ru] = rw, p
-                    size[rw] += size[ru]
-                    ru, pu = rw, pu ^ p
-                else:
-                    parent[rw], parity[rw] = ru, p
-                    size[ru] += size[rw]
+    nl = t.left.internal_count
+    forest = _solve(nl + t.right.internal_count, _pair_equations(t))
+    if forest is None:
+        return None
+    parent, parity = forest
     roots, values = [], []  # each bit's root, and its value xor the root's
     for v in range(len(parent)):
         r, p = v, 0
@@ -279,79 +344,14 @@ def _planar_masks(t: Tanglegram) -> tuple[int, int] | None:
     return left_mask, sum(1 << w for w, v in enumerate(values[nl:]) if v)
 
 
-def _parity_pass(entries: Sequence[int]) -> bool:
-    """Whether the catergram of the permutation ``entries`` is planar: the
-    parity system of :func:`_planar_masks`, solved in one pass over the
-    entries in O(n alpha(n)).
-
-    Both caterpillars are in stored order 1..n, so leaves a < b split at
-    left bit a-1 and at right bit min(pi(a), pi(b))-1, and their edges
-    cross exactly when pi(a) > pi(b). No pair crosses when, for each a,
-    x[a-1] = y[pi(a)-1] if some later entry is larger, and
-    x[a-1] != y[pi(b)-1] for each later b with pi(b) < pi(a). Left bit
-    a-1 is in no other equation, and eliminating it leaves two rules on
-    values: every later value below pi(a) gets one colour, and pi(a) the
-    other when some later value is larger and some is smaller.
-
-    Read right to left, the values seen so far lie in blocks of one
-    colour on a stack, each block named by its least value, the lowest
-    on top. The blocks whose least value is below pi(a) are popped and
-    joined at parity 0 in a union-find with parities, by size and with
-    path halving; a block already at parity 1 to them is a
-    contradiction. Then pi(a) is pushed, joined at parity 1 to the
-    merged block when some block was popped and a larger value was
-    seen, and the merged block goes back on top. Each step pushes at
-    most two blocks.
-    """
-    parent = list(range(len(entries) + 1))
-    parity = [0] * len(parent)  # a value's colour xor its parent's
-    size = [1] * len(parent)
-    blocks: list[int] = []  # the least value of each block, the lowest on top
-    high = 0  # the largest value seen
-    for v in reversed(entries):
-        if blocks and blocks[-1] < v:
-            low = ra = blocks.pop()
-            pa = 0  # ra: low's root; pa: low's colour xor the root's
-            while parent[ra] != ra:
-                pa ^= parity[ra]
-                ra = parent[ra]
-            while blocks and blocks[-1] < v:
-                # rb: the next block's root; p: the xor of the two roots'
-                # colours that one colour for both blocks forces
-                rb, p = blocks.pop(), pa
-                while parent[rb] != rb:  # halving the path on the way
-                    up = parent[rb]
-                    parent[rb] = parent[up]
-                    parity[rb] ^= parity[up]
-                    p ^= parity[rb]
-                    rb = parent[rb]
-                if ra == rb:
-                    if p:
-                        return False
-                elif size[ra] < size[rb]:
-                    parent[ra], parity[ra] = rb, p
-                    size[rb] += size[ra]
-                    ra, pa = rb, pa ^ p
-                else:
-                    parent[rb], parity[rb] = ra, p
-                    size[ra] += size[rb]
-            if high > v:
-                parent[v], parity[v] = ra, pa ^ 1
-                size[ra] += 1
-            blocks += (v, low)
-        else:
-            blocks.append(v)
-        if v > high:
-            high = v
-    return True
-
-
 def _planar(t: Tanglegram) -> bool:
-    """Whether some layout of ``t`` has no crossings: by :func:`_parity_pass`
-    on a catergram, by :func:`_planar_masks` on any other tanglegram."""
+    """Whether some layout of ``t`` has no crossings: whether :func:`_solve`
+    finds :func:`_catergram_equations` consistent on a catergram, and
+    :func:`_pair_equations` on any other tanglegram."""
     if is_catergram(t):
-        return _parity_pass(catergram_permutation(t).entries)
-    return _planar_masks(t) is not None
+        entries = catergram_permutation(t).entries
+        return _solve(len(entries) + 1, _catergram_equations(entries)) is not None
+    return _solve(t.left.internal_count + t.right.internal_count, _pair_equations(t)) is not None
 
 
 def _mask_layout(t: Tanglegram, left_mask: int, right_mask: int) -> Layout:
@@ -401,9 +401,9 @@ def is_planar(t: Tanglegram, method: str = "oracle") -> bool:
 
     ``oracle``, the default, asks whether a zero-crossing layout exists,
     by solving the swap-bit parity system behind :func:`planar_layout`
-    with no size cap: in one pass over the permutation in O(n alpha(n))
-    on a catergram (:func:`_parity_pass`), and in O(n^2) on any other
-    tanglegram. ``kuratowski`` is the independent
+    with no size cap in :func:`_solve`, fed by O(n) equations from one
+    pass over the permutation on a catergram, and by the O(n^2) pair
+    table on any other tanglegram. ``kuratowski`` is the independent
     cross-check: it asks the induced-copy search of
     :func:`~tanglekit.tanglegram._has_induced_copy` for either
     obstruction. On a catergram that is the forbidden-pattern test of
@@ -429,7 +429,7 @@ def is_planar_catergram(pi: Permutation) -> bool:
     so the catergram is planar exactly when no member of that bar set
     occurs in ``pi``. Below size 4 every catergram is planar.
     """
-    return len(pi) < 4 or not _has_induced_copy(catergram(pi), excluded_tanglegrams())
+    return len(pi) < 4 or is_planar(catergram(pi), "kuratowski")
 
 
 # ----------------------------------------------------------------------

@@ -254,11 +254,10 @@ class TestVerifyChain:
             for i in range(1, max_index)
         ]
 
-        def refuse(t):
+        def refuse(*args):
             raise AssertionError("the parity solver was called")
 
-        monkeypatch.setattr("tanglekit.layout._planar_masks", refuse)
-        monkeypatch.setattr("tanglekit.layout._parity_pass", refuse)
+        monkeypatch.setattr("tanglekit.layout._solve", refuse)
         report = verify_chain(max_index, family=family)
         assert [(c.i, c.induced_ok) for c in report.checks] == want
 

@@ -3,8 +3,9 @@
 A caterpillar is as deep as it has leaves, so every tree walk here runs
 on 2500-leaf trees at the default limit of 1000 frames. The pattern
 search is as deep as its inputs are long, and the parity system behind
-planar layouts and the default planarity test has one equation per
-pair of leaves; both run here on inputs of 1000 to 2500 entries.
+planar layouts and the default planarity test has up to one equation
+per pair of leaves, or O(n) on a catergram; both run here on inputs of
+1000 to 2500 entries.
 """
 
 import ast
@@ -194,3 +195,18 @@ def test_only_trees_reads_the_lca_gaps():
             if "lca_gaps" in (getattr(node, "attr", None), getattr(node, "id", None)):
                 found.add(path.stem)
     assert found == {"trees"}, f"modules that read lca_gaps: {sorted(found)}"
+
+
+def test_only_the_parity_solver_writes_a_union_find():
+    # One union-find: every planarity answer goes through layout._solve,
+    # so no other function stores into a list named parent or parity.
+    found = set()
+    for path in sorted(Path(tanglekit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for store in ast.walk(node):
+                    if (isinstance(store, ast.Subscript) and isinstance(store.ctx, ast.Store)
+                            and isinstance(store.value, ast.Name)
+                            and store.value.id in ("parent", "parity")):
+                        found.add((path.stem, node.name))
+    assert found == {("layout", "_solve")}, f"functions that write a union-find: {sorted(found)}"

@@ -34,7 +34,14 @@ from tanglekit import (
     rho_layout,
 )
 from tanglekit import layout
-from tanglekit.layout import _mask_layout, _pair_table, _parity_pass, _planar_masks, _sweep
+from tanglekit.layout import (
+    _catergram_equations,
+    _mask_layout,
+    _pair_table,
+    _planar_masks,
+    _solve,
+    _sweep,
+)
 
 from conftest import (
     incremental_sweep,
@@ -412,15 +419,20 @@ def shuffled_catergram(rng, entries) -> Tanglegram:
     return parse_tanglegram(format_tanglegram(t))
 
 
+def catergram_pass(entries) -> bool:
+    """Whether the one solver finds the catergram source consistent."""
+    return _solve(len(entries) + 1, _catergram_equations(entries)) is not None
+
+
 class TestParityPass:
-    """The one-pass decision on catergrams against the parity system it
-    solves."""
+    """The catergram source's one-pass system against the pair table's,
+    both solved by the one solver."""
 
     def test_every_permutation_up_to_size_eight(self):
         checked = Counter()
         for n in range(2, 9):
             for p in permutations(range(1, n + 1)):
-                planar = _parity_pass(p)
+                planar = catergram_pass(p)
                 assert planar == (_planar_masks(catergram(Permutation(p))) is not None), p
                 checked[planar] += 1
         assert sum(checked.values()) == 46232 and checked[True] and checked[False]
@@ -437,7 +449,7 @@ class TestParityPass:
             for kind, entries in (("planar", planar), ("near", near),
                                   ("uniform", rng.sample(range(1, n + 1), n)),
                                   ("planted", plant_obstruction(rng, planar))):
-                got = _parity_pass(entries)
+                got = catergram_pass(entries)
                 want = _planar_masks(catergram(Permutation(entries))) is not None
                 assert got == want, (kind, entries)
                 checked[kind, got] += 1
@@ -461,9 +473,9 @@ class TestParityPass:
 
     def test_other_tanglegrams_go_to_the_parity_system(self, monkeypatch):
         def refuse(entries):
-            raise AssertionError("the catergram pass was called")
+            raise AssertionError("the catergram source was called")
 
-        monkeypatch.setattr(layout, "_parity_pass", refuse)
+        monkeypatch.setattr(layout, "_catergram_equations", refuse)
         for t in excluded_tanglegrams()[1:] + (parse_tanglegram("a ; a ; a:a"),):
             assert is_planar(t) == (_planar_masks(t) is not None)
 
@@ -474,6 +486,77 @@ class TestParityPass:
             t0 = time.perf_counter()
             assert is_planar(t)
             assert time.perf_counter() - t0 < 1.0
+
+
+def forest_values(parent, parity) -> list[int]:
+    """Each bit's value in the solution that sets every root to 0."""
+    values = []
+    for v in range(len(parent)):
+        r, p = v, 0
+        while parent[r] != r:
+            p ^= parity[r]
+            r = parent[r]
+        values.append(p)
+    return values
+
+
+class TestSolve:
+    """The one union-find with parities, against brute force and as a
+    lazy reader of its equations."""
+
+    def test_seeded_xor_systems_against_every_assignment(self):
+        rng = random.Random(41)
+        seen = Counter()
+        for k in range(1500):
+            bits = rng.randint(1, 10)
+            hidden = [rng.getrandbits(1) for _ in range(bits)]
+            equations = []
+            for _ in range(rng.randint(0, 2 * bits)):
+                a, b = rng.randrange(bits), rng.randrange(bits)  # a == b too
+                # every other system is planted, so about half are solvable
+                p = hidden[a] ^ hidden[b] if k % 2 else rng.getrandbits(1)
+                equations.append((a, b, p))
+            for _ in range(rng.randint(0, 4)):
+                if not equations:
+                    break
+                (a, b, p), (c, d, q) = rng.choice(equations), rng.choice(equations)
+                if rng.random() < 0.3:
+                    equations.append((b, a, p))  # repeated, reversed
+                elif b in (c, d):  # redundant: the sum of two on a shared bit
+                    equations.append((a, c if b == d else d, p ^ q))
+                else:  # contradictory: the same two bits at the other parity
+                    equations.append((a, b, p ^ 1))
+            rng.shuffle(equations)
+            solvable = any(
+                all((mask >> a ^ mask >> b) & 1 == p for a, b, p in equations)
+                for mask in range(1 << bits)
+            )
+            forest = _solve(bits, iter(equations))
+            assert (forest is not None) == solvable, (bits, equations)
+            if forest is not None:
+                values = forest_values(*forest)
+                assert all(values[a] ^ values[b] == p for a, b, p in equations), equations
+            seen[solvable] += 1
+        assert seen[True] > 300 and seen[False] > 300, seen
+
+    def test_a_contradiction_stops_reading_the_pair_table(self, monkeypatch):
+        pulled = []
+        real = layout._pair_table
+
+        def spy(t):
+            for row in real(t):
+                pulled.append(row[0])
+                yield row
+
+        monkeypatch.setattr(layout, "_pair_table", spy)
+        t = catergram(pi_seq(494))
+        assert _planar_masks(t) is None
+        assert t.left.internal_count == 999 and 0 < len(pulled) <= 3, len(pulled)
+        t = random_tanglegram(random.Random(42), 40)
+        for decide in (_planar_masks, layout._planar):
+            pulled.clear()
+            assert decide(t) in (None, False)
+            assert 0 < len(pulled) < t.left.internal_count, len(pulled)
 
 
 class TestEverySizeSixTanglegram:
